@@ -29,10 +29,10 @@ raising, :func:`require_numpy` raises a clear ``ImportError``, and
 :func:`make_simulator` falls back to the scalar engine when numpy is
 absent (or, with ``strict=True``, refuses loudly).
 
-Correctness is enforced by the scalar-vs-batch trace-equivalence
-oracle (:mod:`repro.verify.backends`): same seed, byte-identical
-traces, received bit streams and monitor verdicts across the protocol
-x scheduler matrix.
+Correctness is enforced by the scalar-vs-batch axis of the
+differential oracle (:mod:`repro.verify.differential`): same seed,
+byte-identical traces, received bit streams and monitor verdicts
+across the protocol x scheduler matrix.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ reused wholesale while the configuration epoch stands still.
 
 Both modes produce traces **bit-identical** to the scalar engine for
 the same robots, scheduler and seed — that equivalence is enforced by
-the :mod:`repro.verify.backends` differential oracle across the full
-protocol x scheduler matrix.
+the ``backend`` axis of the :mod:`repro.verify.differential` oracle
+across the full protocol x scheduler matrix.
 
 Trace recording is the other big scalar cost at 100k robots: a
 :class:`TraceStep` materialises ``n`` ``Vec2`` objects per instant.

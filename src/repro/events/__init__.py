@@ -23,8 +23,8 @@ Select it through the common factory
 (``repro.batch.make_simulator(..., engine="events")``) or the
 :class:`~repro.apps.harness.SwarmHarness` ``engine`` knob.  The
 round-emulation configuration is proved byte-identical to the round
-engine by ``python -m repro.verify --event-oracle``
-(:mod:`repro.verify.events`); see ``docs/EVENTS.md``.
+engine by ``python -m repro.verify --event-oracle`` (the ``engine``
+axis of :mod:`repro.verify.differential`); see ``docs/EVENTS.md``.
 """
 
 from repro.events.delay import (

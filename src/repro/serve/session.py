@@ -542,10 +542,11 @@ class Session:
         """Replay a checkpoint into a live session (byte-identical).
 
         Raises:
-            ServeError: on a malformed document, or when the replayed
-                trace CRC does not match the checkpointed one — which
-                would mean determinism was broken somewhere, the one
-                thing this layer must never paper over.
+            ServeError: on a malformed document, one without a trace
+                CRC, or when the replayed trace CRC does not match the
+                checkpointed one — which would mean determinism was
+                broken somewhere, the one thing this layer must never
+                paper over.
         """
         if doc.get("schema") != CHECKPOINT_SCHEMA:
             raise ServeError(
@@ -555,6 +556,11 @@ class Session:
             raise ServeError(
                 f"unsupported checkpoint version {doc.get('version')!r}"
             )
+        # The CRC is the restore's byte-identity witness: without one
+        # the replay cannot be verified, so it is refused before it runs.
+        expected_crc = str(doc.get("trace_crc") or "")
+        if not expected_crc:
+            raise ServeError("checkpoint has no trace_crc; restore cannot be verified")
         spec = SessionSpec.from_json(doc["spec"])  # type: ignore[arg-type]
         session = cls(spec)
         target = int(doc["steps_applied"])  # type: ignore[arg-type]
@@ -582,9 +588,8 @@ class Session:
                 )
         replay_inputs(target)
 
-        expected_crc = str(doc.get("trace_crc", ""))
         got_crc = session.trace_crc()
-        if expected_crc and got_crc != expected_crc:
+        if got_crc != expected_crc:
             raise ServeError(
                 f"restore diverged from checkpoint: trace CRC {got_crc} "
                 f"!= {expected_crc} (determinism violation)"

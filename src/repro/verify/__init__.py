@@ -16,9 +16,22 @@ This package closes that gap with a seeded property-test harness:
 * intentionally-buggy mutants that prove the monitors actually fire
   (:mod:`repro.verify.mutants`).
 
+The oracles, each a sweep over the same matrix:
+
+* **caching transparency** — every engine run is re-run with hot-path
+  caching off and diffed (:func:`repro.verify.engine.diff_runs`);
+* **differential** — each cell built as two twins on one axis,
+  ``backend`` (scalar vs batch) or ``engine`` (rounds vs events), and
+  diffed the same way (:mod:`repro.verify.differential`);
+* **causality** — each cell run instrumented on both engines, its
+  happens-before DAG rebuilt and checked (:mod:`repro.verify.causal`).
+
 Command line::
 
     python -m repro.verify --seeds 50 --protocol all
+    python -m repro.verify --backend-oracle --quick
+    python -m repro.verify --event-oracle --quick
+    python -m repro.verify --causal-oracle --quick
     python -m repro.verify --self-test
     python -m repro.verify --list
 """

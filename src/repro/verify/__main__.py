@@ -8,6 +8,7 @@ Examples::
     python -m repro.verify --self-test               # mutants must be caught
     python -m repro.verify --mutant deaf             # show one mutant's report
     python -m repro.verify --backend-oracle --quick  # scalar vs batch parity
+    python -m repro.verify --event-oracle --quick    # rounds vs events parity
     python -m repro.verify --causal-oracle --quick   # happens-before checks
     python -m repro.verify --list                    # cells, skips, mutants
 
@@ -23,6 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.verify.differential import ORACLE_SKIPS, DiffResult, run_differential
 from repro.verify.engine import CellResult, run_matrix
 from repro.verify.mutants import MUTANTS, run_mutant, run_self_test
 from repro.verify.scenarios import CELLS, PROTOCOLS, SCHEDULERS, SKIPS
@@ -72,19 +74,20 @@ def _parser() -> argparse.ArgumentParser:
         help="on failure, replay the minimized repro with the obs "
              "recorder attached and dump the event trace (JSONL) here",
     )
-    parser.add_argument(
+    oracles = parser.add_mutually_exclusive_group()
+    oracles.add_argument(
         "--backend-oracle", action="store_true",
         help="differential oracle: every cell run on both the scalar and "
              "the batch backend from the same seed must be bit-identical "
              "(requires numpy; exits 0 with a notice when it is absent)",
     )
-    parser.add_argument(
+    oracles.add_argument(
         "--event-oracle", action="store_true",
         help="differential oracle: every cell run on both the round engine "
              "and the event engine (round-emulation mode) from the same "
              "seed must be bit-identical (pure python)",
     )
-    parser.add_argument(
+    oracles.add_argument(
         "--causal-oracle", action="store_true",
         help="causality oracle: every cell runs instrumented on both "
              "engines; the recorded trace must rebuild into a clean "
@@ -130,6 +133,12 @@ def _do_list() -> int:
     print("\nskipped cells (out of the protocol's stated envelope):")
     for (p, s), reason in sorted(SKIPS.items()):
         print(f"  {p:14s} x {s:15s} {reason}")
+    print(
+        "\ndifferential oracle skips (backend = --backend-oracle, "
+        "engine = --event-oracle; counted in each report):"
+    )
+    for (axis, s), reason in sorted(ORACLE_SKIPS.items()):
+        print(f"  {axis:14s} x {s:15s} {reason}")
     print("\nself-test mutants (expected violation):")
     for name, (description, expected) in MUTANTS.items():
         print(f"  {name:10s} {expected:15s} {description}")
@@ -179,15 +188,27 @@ def _do_mutant(name: str) -> int:
     return 1
 
 
-def _do_backend_oracle(args, protocols, schedulers, seeds) -> int:
-    from repro.batch import NUMPY_HINT, available
-    from repro.verify.backends import BackendCellResult, run_backend_matrix
+def _write_json(args, report) -> None:
+    """Honour ``--json``: the full report to a file, or stdout for '-'."""
+    if not args.json:
+        return
+    payload = json.dumps(report.to_json(), indent=2)
+    if args.json == "-":
+        print(payload)
+    else:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
 
-    if not available():
-        print(f"backend oracle skipped: {NUMPY_HINT}")
-        return 0
 
-    def progress(result: BackendCellResult) -> None:
+def _do_differential(axis: str, args, protocols, schedulers, seeds) -> int:
+    if axis == "backend":
+        from repro.batch import NUMPY_HINT, available
+
+        if not available():
+            print(f"backend oracle skipped: {NUMPY_HINT}")
+            return 0
+
+    def progress(result: DiffResult) -> None:
         status = "ok" if result.ok else "FAIL"
         print(
             f"  {result.protocol} x {result.scheduler} ({result.variant}) "
@@ -195,7 +216,8 @@ def _do_backend_oracle(args, protocols, schedulers, seeds) -> int:
             flush=True,
         )
 
-    report = run_backend_matrix(
+    report = run_differential(
+        axis,
         protocols,
         schedulers,
         seeds,
@@ -203,42 +225,7 @@ def _do_backend_oracle(args, protocols, schedulers, seeds) -> int:
         progress=progress if args.verbose else None,
     )
     print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-    return 0 if report.ok else 1
-
-
-def _do_event_oracle(args, protocols, schedulers, seeds) -> int:
-    from repro.verify.events import EventCellResult, run_event_matrix
-
-    def progress(result: EventCellResult) -> None:
-        status = "ok" if result.ok else "FAIL"
-        print(
-            f"  {result.protocol} x {result.scheduler} ({result.variant}) "
-            f"seed={result.seed} size={result.size} steps={result.steps} {status}",
-            flush=True,
-        )
-
-    report = run_event_matrix(
-        protocols,
-        schedulers,
-        seeds,
-        quick=args.quick,
-        progress=progress if args.verbose else None,
-    )
-    print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+    _write_json(args, report)
     return 0 if report.ok else 1
 
 
@@ -261,13 +248,7 @@ def _do_causal_oracle(args, protocols, schedulers, seeds) -> int:
         progress=progress if args.verbose else None,
     )
     print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+    _write_json(args, report)
     return 0 if report.ok else 1
 
 
@@ -289,9 +270,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     seeds = range(args.base_seed, args.base_seed + args.seeds)
 
     if args.backend_oracle:
-        return _do_backend_oracle(args, protocols, schedulers, seeds)
+        return _do_differential("backend", args, protocols, schedulers, seeds)
     if args.event_oracle:
-        return _do_event_oracle(args, protocols, schedulers, seeds)
+        return _do_differential("engine", args, protocols, schedulers, seeds)
     if args.causal_oracle:
         return _do_causal_oracle(args, protocols, schedulers, seeds)
 
@@ -314,13 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=progress if args.verbose else None,
     )
     print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+    _write_json(args, report)
     return 0 if report.ok else 1
 
 

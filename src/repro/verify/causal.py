@@ -7,11 +7,12 @@ acyclic, every overheard decode is downstream of an encoding move —
 and the critical path's edge durations telescope to *exactly* the
 flow's end-to-end latency (attribution is always 100% of the measured
 cost).  This module turns that promise into a sweepable oracle,
-mirroring the backend and event oracles: every executable cell of the
-scenario matrix is driven with an :class:`~repro.obs.recorder.
-ObsRecorder` attached — on the round engine *and* the event engine in
-round-emulation mode — and the resulting trace is rebuilt into its
-causal DAG and checked.
+mirroring the differential oracle (:mod:`repro.verify.differential`):
+every executable cell of the scenario matrix is driven with an
+:class:`~repro.obs.recorder.ObsRecorder` attached — on the round
+engine *and* the event engine in round-emulation mode (the ``event_*``
+adversaries exist only on the event engine) — and the resulting trace
+is rebuilt into its causal DAG and checked.
 
 Ack ordering is only enforced (``strict_acks``) in cells whose
 invariant list claims receipt: under adversaries that may starve the
@@ -30,32 +31,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.verify.scenarios import (
     EVENT_ADVERSARIES,
-    SKIPS,
     Cell,
     build_run,
     cells_for,
+    matrix_skips,
 )
-from repro.verify.engine import drive
+from repro.verify.engine import SweepReport, drive
 
 __all__ = [
-    "CAUSAL_ORACLE_SKIPS",
     "CausalCellResult",
     "CausalOracleReport",
     "check_cell",
     "run_causal_matrix",
 ]
-
-#: Engine twins the oracle cannot run, with the reason — reported as
-#: skips exactly like the matrix's own ``SKIPS``.  (These mirror the
-#: event oracle: the stale-look adversary is a round-engine Simulator
-#: subclass, and the ``event_*`` adversaries exist only on the event
-#: engine — each such cell is simply checked on its one native engine.)
-CAUSAL_ORACLE_SKIPS: Dict[str, str] = {
-    "worst_stale": (
-        "round engine only: the stale-look adversary is a round-engine "
-        "Simulator subclass with no event twin"
-    ),
-}
 
 #: Protocols whose sender advances on a framing *rhythm* rather than
 #: the implicit acknowledgement of Lemma 4.1, with the reason strict
@@ -79,8 +67,6 @@ def _engines_for(cell: Cell) -> Tuple[str, ...]:
     if cell.scheduler in EVENT_ADVERSARIES:
         # Inherently event-engine cells: build_run ignores engine=.
         return ("events",)
-    if cell.scheduler in CAUSAL_ORACLE_SKIPS:
-        return ("rounds",)
     return ("rounds", "events")
 
 
@@ -182,35 +168,8 @@ def check_cell(
     return result
 
 
-@dataclass
-class CausalOracleReport:
+class CausalOracleReport(SweepReport[CausalCellResult]):
     """Aggregate outcome of a causal oracle sweep."""
-
-    results: List[CausalCellResult] = field(default_factory=list)
-    skipped: List[Tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every instrumented run was causally clean."""
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[CausalCellResult]:
-        """The runs whose causal structure was violated (or crashed)."""
-        return [r for r in self.results if not r.ok]
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON-ready dict of the whole sweep (results and skips)."""
-        return {
-            "ok": self.ok,
-            "runs": len(self.results),
-            "failures": len(self.failures),
-            "skipped": [
-                {"protocol": p, "scheduler": s, "reason": reason}
-                for p, s, reason in self.skipped
-            ],
-            "results": [r.to_json() for r in self.results],
-        }
 
     def format(self, verbose: bool = False) -> str:
         """Human-readable per-cell summary with violation details."""
@@ -231,10 +190,7 @@ class CausalOracleReport:
                 if r.error is not None:
                     first = r.error.strip().splitlines()[0]
                     lines.append(f"    seed {r.seed}: {first}")
-        if verbose and self.skipped:
-            lines.append("")
-            for protocol, scheduler, reason in self.skipped:
-                lines.append(f"skip {protocol} x {scheduler}: {reason}")
+        lines.extend(self._skip_lines(verbose))
         total = len(self.results)
         bad_total = len(self.failures)
         violations = sum(len(r.violations) for r in self.results)
@@ -257,25 +213,12 @@ def run_causal_matrix(
     """Sweep the causality oracle over the scenario matrix.
 
     Every executable cell runs instrumented on both engines (the
-    ``event_*`` adversaries and ``worst_stale`` on their one native
-    engine); the recorded trace must rebuild into a clean
-    happens-before DAG with telescoping critical-path attribution.
+    ``event_*`` adversaries on their one native engine); the recorded
+    trace must rebuild into a clean happens-before DAG with telescoping
+    critical-path attribution.
     """
-    report = CausalOracleReport()
-    wanted_p = set(protocols) if protocols else None
-    wanted_s = set(schedulers) if schedulers else None
-    for (p, s), reason in sorted(SKIPS.items()):
-        if (wanted_p is None or p in wanted_p) and (wanted_s is None or s in wanted_s):
-            report.skipped.append((p, s, reason))
+    report = CausalOracleReport(skipped=matrix_skips(protocols, schedulers))
     for cell in cells_for(protocols, schedulers):
-        if cell.scheduler in CAUSAL_ORACLE_SKIPS:
-            report.skipped.append(
-                (
-                    cell.protocol,
-                    cell.scheduler,
-                    CAUSAL_ORACLE_SKIPS[cell.scheduler],
-                )
-            )
         for engine in _engines_for(cell):
             for seed in seeds:
                 result = check_cell(cell, seed, engine, quick=quick)

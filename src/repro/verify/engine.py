@@ -4,11 +4,12 @@ For every executable cell of the matrix (:mod:`repro.verify.scenarios`)
 and every seed, the engine:
 
 1. builds the run twice — hot-path caching on and off — from the same
-   seed, drives both, and requires the two traces, received streams
-   and final configurations to be **bit-identical** (the
+   seed, streams the cell's invariant monitors over both, and requires
+   the two traces, received streams, final configurations, epochs and
+   monitor verdicts to be **bit-identical** (:func:`diff_runs`; the
    ``transparency`` invariant, checked at engine level so it holds
    under every adversary, not just the benign benchmarks);
-2. streams the cell's invariant monitors over the cached run;
+2. reports the cached run's monitor violations;
 3. on violation, *minimizes* the reproduction: shrink the swarm while
    the cell still fails, and clip the step budget to the earliest
    streaming violation;
@@ -27,19 +28,39 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.verify.monitors import Violation, attach
 from repro.verify.scenarios import (
     CELLS,
-    SKIPS,
     Cell,
     ScenarioRun,
     build_run,
     cells_for,
+    matrix_skips,
 )
 
-__all__ = ["CellResult", "Report", "drive", "run_cell", "run_matrix"]
+__all__ = [
+    "CellResult",
+    "Report",
+    "SweepReport",
+    "diff_runs",
+    "drive",
+    "run_cell",
+    "run_matrix",
+]
+
+#: the result type a :class:`SweepReport` collects.
+_R = TypeVar("_R")
 
 #: extra instants run after the early-stop condition fires, so silence
 #: violations just after delivery are still observed.
@@ -137,28 +158,59 @@ def _received_fingerprint(run: ScenarioRun) -> List[Tuple[object, ...]]:
     return out
 
 
+def _monitor_verdicts(run: ScenarioRun) -> List[Tuple[object, ...]]:
+    """Flatten a run's monitor violations into a comparable list."""
+    out: List[Tuple[object, ...]] = []
+    for monitor in run.monitors:
+        for v in monitor.violations:
+            out.append((monitor.name, v.invariant, v.time, v.message))
+    return out
+
+
+def diff_runs(
+    a: ScenarioRun, a_steps: int, b: ScenarioRun, b_steps: int
+) -> List[str]:
+    """Every way two driven twin runs differ; empty when byte-identical.
+
+    Equality is strict: run length, retained trace steps
+    ``(time, active, positions)``, per-robot received streams, final
+    configurations, configuration epochs and the full monitor verdict
+    lists must match exactly.  The one diff behind every equivalence
+    check: caching on/off here, the engine variants in
+    :mod:`repro.verify.differential`.
+    """
+    problems: List[str] = []
+    if a_steps != b_steps:
+        problems.append(f"run length diverged: {a_steps} vs {b_steps}")
+    if _trace_fingerprint(a) != _trace_fingerprint(b):
+        problems.append("position traces diverged")
+    if _received_fingerprint(a) != _received_fingerprint(b):
+        problems.append("received bit streams diverged")
+    if tuple(a.sim.positions) != tuple(b.sim.positions):
+        problems.append("final configurations diverged")
+    if a.sim.epoch != b.sim.epoch:
+        problems.append(
+            f"configuration epochs diverged: {a.sim.epoch} vs {b.sim.epoch}"
+        )
+    if _monitor_verdicts(a) != _monitor_verdicts(b):
+        problems.append("monitor verdicts diverged")
+    return problems
+
+
 def _check_transparency(
     cell: Cell, seed: int, quick: bool, cached: ScenarioRun, cached_steps: int
 ) -> List[Violation]:
     """Re-run with caching off; the runs must be indistinguishable."""
     twin = build_run(cell, seed, caching=False, quick=quick)
+    attach(twin.sim, twin.monitors)
     twin_steps = drive(twin)
-    problems: List[str] = []
-    if twin_steps != cached_steps:
-        problems.append(f"run length diverged: {cached_steps} vs {twin_steps}")
-    if _trace_fingerprint(cached) != _trace_fingerprint(twin):
-        problems.append("position traces diverged")
-    if _received_fingerprint(cached) != _received_fingerprint(twin):
-        problems.append("received bit streams diverged")
-    if tuple(cached.sim.positions) != tuple(twin.sim.positions):
-        problems.append("final configurations diverged")
     return [
         Violation(
             "transparency",
             -1,
             f"caching on/off runs differ ({problem})",
         )
-        for problem in problems
+        for problem in diff_runs(cached, cached_steps, twin, twin_steps)
     ]
 
 
@@ -267,18 +319,24 @@ def run_cell(
 
 
 @dataclass
-class Report:
-    """Aggregate outcome of a matrix sweep."""
+class SweepReport(Generic[_R]):
+    """Aggregate outcome of a sweep: its results and its counted skips.
 
-    results: List[CellResult] = field(default_factory=list)
+    The matrix engine and every oracle return one; each subclass only
+    adds its own human-readable ``format``.
+    """
+
+    results: List[_R] = field(default_factory=list)
     skipped: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
+        """True when every result in the sweep passed."""
         return all(r.ok for r in self.results)
 
     @property
-    def failures(self) -> List[CellResult]:
+    def failures(self) -> List[_R]:
+        """The results that did not pass."""
         return [r for r in self.results if not r.ok]
 
     def to_json(self) -> Dict[str, object]:
@@ -293,6 +351,19 @@ class Report:
             ],
             "results": [r.to_json() for r in self.results],
         }
+
+    def _skip_lines(self, verbose: bool) -> List[str]:
+        """The per-skip reason lines ``format`` prints when verbose."""
+        if not (verbose and self.skipped):
+            return []
+        return [""] + [
+            f"skip {protocol} x {scheduler}: {reason}"
+            for protocol, scheduler, reason in self.skipped
+        ]
+
+
+class Report(SweepReport[CellResult]):
+    """Aggregate outcome of a matrix sweep."""
 
     def format(self, verbose: bool = False) -> str:
         """Human-readable per-cell summary with violation details."""
@@ -321,10 +392,7 @@ class Report:
                         f"    seed {r.seed}: obs trace: {r.obs_dump} "
                         f"(open with `python -m repro.obs report`)"
                     )
-        if verbose and self.skipped:
-            lines.append("")
-            for protocol, scheduler, reason in self.skipped:
-                lines.append(f"skip {protocol} x {scheduler}: {reason}")
+        lines.extend(self._skip_lines(verbose))
         total = len(self.results)
         bad_total = len(self.failures)
         lines.append("")
@@ -347,12 +415,7 @@ def run_matrix(
     progress: Optional[Callable[[CellResult], None]] = None,
 ) -> Report:
     """Sweep the matrix: every matching cell x every seed."""
-    report = Report()
-    wanted_p = set(protocols) if protocols else None
-    wanted_s = set(schedulers) if schedulers else None
-    for (p, s), reason in sorted(SKIPS.items()):
-        if (wanted_p is None or p in wanted_p) and (wanted_s is None or s in wanted_s):
-            report.skipped.append((p, s, reason))
+    report = Report(skipped=matrix_skips(protocols, schedulers))
     for cell in cells_for(protocols, schedulers):
         for seed in seeds:
             result = run_cell(

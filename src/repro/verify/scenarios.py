@@ -68,6 +68,7 @@ __all__ = [
     "ScenarioRun",
     "build_run",
     "cells_for",
+    "matrix_skips",
 ]
 
 #: Protocol keys, in the paper's order of presentation.
@@ -343,6 +344,22 @@ def cells_for(
     return [CELLS[(p, s)] for p in ps for s in ss if (p, s) in CELLS]
 
 
+def matrix_skips(
+    protocols: Optional[Sequence[str]] = None,
+    schedulers: Optional[Sequence[str]] = None,
+) -> List[Tuple[str, str, str]]:
+    """The :data:`SKIPS` matching a filter, as ``(protocol, scheduler, reason)``.
+
+    Every sweep (the matrix engine and each oracle) opens its skip list
+    with these, so out-of-envelope cells are always counted.
+    """
+    return [
+        (p, s, reason)
+        for (p, s), reason in sorted(SKIPS.items())
+        if (not protocols or p in protocols) and (not schedulers or s in schedulers)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Seeded geometry
 # ----------------------------------------------------------------------
@@ -496,17 +513,17 @@ def build_run(
     ``backend`` selects the simulator implementation (``"scalar"`` or
     ``"batch"``); every RNG draw happens before the simulator is
     constructed, so the two backends see the identical scenario — that
-    is what makes :mod:`repro.verify.backends` a differential oracle.
-    ``engine`` selects ``"rounds"`` (the classic instant-stepped
-    engine) or ``"events"`` (the event engine in round-emulation mode:
-    unit phase durations, zero delay) — the twin axis of the
-    :mod:`repro.verify.events` oracle.  The ``event_*`` adversary cells
-    are *inherently* event-engine runs (free-running timing, delay
-    models) and ignore the ``engine`` argument.
+    is what makes :mod:`repro.verify.differential` a differential
+    oracle.  ``engine`` selects ``"rounds"`` (the classic
+    instant-stepped engine) or ``"events"`` (the event engine in
+    round-emulation mode: unit phase durations, zero delay) — the
+    oracle's other axis.  The ``event_*`` adversary cells are
+    *inherently* event-engine runs (free-running timing, delay models)
+    and ignore the ``engine`` argument.
     ``scheduler_factory``, when given, replaces the cell's scheduler
-    after all seeding draws (the backend oracle uses it to sweep the
-    fair-asynchronous scheduler over cells the static matrix pins to
-    full synchrony).
+    after all seeding draws (the differential oracle uses it to sweep
+    the fair-asynchronous scheduler over cells the static matrix pins
+    to full synchrony).
     """
     # zlib.crc32, not hash(): string hashing is salted per process and
     # would make the "same seed, same run" reproduction promise a lie.

@@ -137,15 +137,15 @@ def test_swarm_protocol_equivalence(name, regime, identified, factory, seed, sch
 
 def test_backend_oracle_cells_quick():
     """The packaged differential oracle agrees on a matrix sample."""
-    from repro.verify.backends import compare_cell, run_backend_matrix
+    from repro.verify.differential import AXES, compare, run_differential
     from repro.verify.scenarios import CELLS
 
     for key in (("sync_granular", "synchronous"), ("async_n", "displacement")):
-        result = compare_cell(CELLS[key], seed=0, quick=True)
+        result = compare(CELLS[key], 0, *AXES["backend"], quick=True)
         assert result.ok, (result.problems, result.error)
 
-    report = run_backend_matrix(
-        ["sync_two"], ["synchronous"], seeds=range(2), quick=True
+    report = run_differential(
+        "backend", ["sync_two"], ["synchronous"], seeds=range(2), quick=True
     )
     assert report.ok
     assert len(report.results) == 4  # 2 matrix + 2 fair-async comparisons

@@ -60,6 +60,19 @@ def test_restore_rejects_tampered_checkpoint():
         Session.restore(doc)
 
 
+@pytest.mark.parametrize("crc", [None, ""])
+def test_restore_rejects_checkpoint_without_trace_crc(crc):
+    session = Session(spec_for("chat"))
+    session.step(16)
+    doc = session.checkpoint()
+    if crc is None:
+        del doc["trace_crc"]
+    else:
+        doc["trace_crc"] = crc
+    with pytest.raises(ServeError, match="no trace_crc"):
+        Session.restore(doc)
+
+
 def test_restore_rejects_wrong_schema_and_version():
     doc = Session(spec_for("chat")).checkpoint()
     with pytest.raises(ServeError, match="unsupported checkpoint version"):

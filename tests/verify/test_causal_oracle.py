@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify.causal import (
-    CAUSAL_ORACLE_SKIPS,
-    RHYTHM_ADVANCING,
-    check_cell,
-    run_causal_matrix,
-)
+from repro.verify.causal import RHYTHM_ADVANCING, check_cell, run_causal_matrix
 from repro.verify.scenarios import CELLS
 
 pytestmark = pytest.mark.verify
@@ -55,10 +50,7 @@ class TestMatrix:
     def test_every_executable_cell_ran_on_each_native_engine(self, report):
         ran = {(r.protocol, r.scheduler, r.engine) for r in report.results}
         for (p, s) in CELLS:
-            if s in CAUSAL_ORACLE_SKIPS:
-                assert (p, s, "rounds") in ran
-                assert (p, s, "events") not in ran
-            elif s.startswith("event_"):
+            if s.startswith("event_"):
                 assert (p, s, "events") in ran
             else:
                 assert (p, s, "rounds") in ran and (p, s, "events") in ran
