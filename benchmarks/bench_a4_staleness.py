@@ -12,9 +12,10 @@ matched dilation stays at 100% at a proportional latency cost.
 from __future__ import annotations
 
 from repro.apps.harness import ring_positions
-from repro.corda.simulator import StaleLookSimulator
 from repro.geometry.vec import Vec2
+from repro.model.looks import StaleLook
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 # Support running as a standalone script (python benchmarks/bench_x.py).
@@ -44,7 +45,7 @@ def delivery_rate(delay: int, dilation: int) -> float:
             )
             for i, p in enumerate(positions)
         ]
-        sim = StaleLookSimulator(robots, max_delay=delay, seed=seed)
+        sim = Simulator(robots, look=StaleLook(delay, seed=seed))
         robots[0].protocol.send_bits(2, BITS)
         sim.run(2 * dilation * len(BITS) + 2 * delay + 10)
         if [e.bit for e in robots[2].protocol.received] == BITS:

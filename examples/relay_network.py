@@ -17,8 +17,8 @@ from repro import (
     LocalGranularProtocol,
     MovementChannel,
     Robot,
+    Simulator,
     Vec2,
-    VisibilitySimulator,
     visibility_is_connected,
 )
 from repro.visibility.graph import shortest_route
@@ -43,7 +43,7 @@ def main() -> None:
         )
         for i, p in enumerate(positions)
     ]
-    simulator = VisibilitySimulator(robots, visibility_radius=RADIUS)
+    simulator = Simulator(robots, visibility_radius=RADIUS)
     channels = [MovementChannel(r.protocol) for r in robots]
     routers = [FloodRouter(c) for c in channels]
 

@@ -120,7 +120,6 @@ from repro.analysis import (
 from repro.visibility import (
     FloodRouter,
     LocalGranularProtocol,
-    VisibilitySimulator,
     visibility_graph,
     visibility_is_connected,
 )
@@ -131,8 +130,7 @@ from repro.discrete import (
     SquareLattice,
 )
 from repro.stabilization import EpochGranularProtocol
-from repro.corda import StaleLookSimulator
-from repro.noise import NoisyObservationSimulator
+from repro.model.looks import SensingNoise, StaleLook
 
 __version__ = "1.0.0"
 
@@ -220,7 +218,6 @@ __all__ = [
     "svg_trace",
     "write_svg",
     # visibility (Section 5 extension)
-    "VisibilitySimulator",
     "LocalGranularProtocol",
     "FloodRouter",
     "visibility_graph",
@@ -232,7 +229,7 @@ __all__ = [
     "LatticeLogKProtocol",
     # stabilization (Section 5 extension)
     "EpochGranularProtocol",
-    # partial synchrony & sensing noise (Section 5 extensions)
-    "StaleLookSimulator",
-    "NoisyObservationSimulator",
+    # look policies: partial synchrony & sensing noise (Section 5)
+    "StaleLook",
+    "SensingNoise",
 ]

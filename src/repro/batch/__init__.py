@@ -103,9 +103,10 @@ def supports(robots: Sequence, scheduler=None) -> bool:
     """Whether the batch engine can host this swarm at all.
 
     The batch engine implements the base SSM model (unlimited
-    visibility, continuous plane).  Model-variant simulators (CORDA
-    stale looks, limited visibility, discrete worlds) have no batch
-    port yet and must stay scalar.
+    visibility, continuous plane).  Model variants — look policies
+    (``look=``: stale looks, sensing noise), ``visibility_radius``
+    and the lattice worlds — have no batch port yet and must stay on
+    the scalar engines.
     """
     if not available():
         return False

@@ -65,8 +65,10 @@ def swarm_supported(robots: Sequence[Robot]) -> bool:
     visibility, continuous plane); any nonempty swarm of plain
     :class:`~repro.model.robot.Robot` specs runs — conforming
     granular swarms in kernel mode, everything else in object mode.
-    Model *variants* (limited visibility, stale looks, lattices) have
-    their own simulator subclasses and stay on the scalar backend.
+    Model *variants* — look policies (``look=``: stale looks, sensing
+    noise), ``visibility_radius`` and the lattice worlds — are scalar
+    engine options (or, for lattices, a scalar subclass) with no batch
+    port yet.
     """
     return len(robots) > 0
 

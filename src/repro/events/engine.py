@@ -30,19 +30,17 @@ Two operating modes, selected by the
 
 The engine subclasses the round simulator, so the whole extension
 surface (``_constrain_destination``, step listeners, phase hooks,
-``displace`` fault injection, observation caching) is inherited; only
-the activation machinery and the Look configuration source
+``displace`` fault injection, observation caching, ``look=`` policies
+and ``visibility_radius``) is inherited; only the activation machinery
+and the delay-model branch of the Look configuration source
 (:meth:`EventSimulator._config_for_observation`) are overridden.
 
-Huge-swarm extras (both optional, both off by default):
-
-* ``visibility_radius`` — limited visibility served by a spatial-hash
-  index (O(n) construction instead of the all-pairs O(n²) scan);
-* ``lazy_views`` — protocols are bound with an on-demand
-  ``initial_positions`` view instead of an eagerly materialized
-  n-tuple, making swarm construction O(n) total.  Semantically
-  identical for any protocol that treats ``initial_positions`` as the
-  sequence it is declared to be.
+Huge-swarm extra (optional, off by default): ``lazy_views`` — protocols
+are bound with an on-demand ``initial_positions`` view instead of an
+eagerly materialized n-tuple, making swarm construction O(n) total
+(pair it with ``visibility_radius``, whose spatial-hash build is O(n)
+too).  Semantically identical for any protocol that treats
+``initial_positions`` as the sequence it is declared to be.
 """
 
 from __future__ import annotations
@@ -56,12 +54,12 @@ from repro.errors import EventError, SchedulerError
 from repro.events.delay import DelayModel, ZeroDelay
 from repro.events.timing import TimingModel
 from repro.geometry.vec import Vec2
+from repro.model.looks import LookPolicy
 from repro.model.observation import Observation
 from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler
 from repro.model.simulator import Simulator
 from repro.model.trace import TracePolicy, TraceStep
-from repro.perf.spatial import SpatialHashGrid
 
 __all__ = ["EventSimulator", "PHASES"]
 
@@ -128,12 +126,15 @@ class EventSimulator(Simulator):
             histograms; None (default) costs nothing.
         record_events: keep an in-memory log of every popped event as
             ``(time, phase, robot)`` tuples (determinism tests).
-        visibility_radius: optional limited visibility (world units),
-            indexed with a spatial hash.
         lazy_views: bind protocols with on-demand initial-position
             views (huge swarms; see the module docstring).
-        caching / trace_policy: forwarded to the base engine.
+        caching / trace_policy / look / visibility_radius: forwarded to
+            the base engine.  A ``look`` policy cannot be combined with
+            a nonzero ``delay`` model: both would decide what a Look
+            returns.
     """
+
+    _config_error = EventError
 
     def __init__(
         self,
@@ -145,10 +146,11 @@ class EventSimulator(Simulator):
         seed: int = 0,
         registry=None,
         record_events: bool = False,
-        visibility_radius: Optional[float] = None,
         lazy_views: bool = False,
         caching: bool = True,
         trace_policy: Optional[TracePolicy] = None,
+        look: Optional[LookPolicy] = None,
+        visibility_radius: Optional[float] = None,
     ) -> None:
         timing = timing if timing is not None else TimingModel.round_emulation()
         if not isinstance(timing, TimingModel):
@@ -161,26 +163,25 @@ class EventSimulator(Simulator):
                 "free-running timing owns the activation schedule; "
                 "pass scheduler=None (or use a scheduler-driven TimingModel)"
             )
-        if visibility_radius is not None and visibility_radius <= 0.0:
+        if look is not None and not delay.is_zero:
             raise EventError(
-                f"visibility_radius must be positive, got {visibility_radius}"
+                "a look policy and a nonzero delay model both decide what a "
+                "Look returns; pass one of them"
             )
         # Attributes the base constructor consults must exist first:
-        # _world_visibility_radius() / _compute_visible_from() /
-        # _initial_local_view() all run inside super().__init__.
+        # _initial_local_view() runs inside super().__init__.
         self._timing = timing
         self._delay = delay
-        self._visibility_radius = visibility_radius
         self._lazy_views = bool(lazy_views)
-        self._grid: Optional[SpatialHashGrid] = None
-        self._point_index: Dict[Vec2, int] = {}
-        if visibility_radius is not None:
-            self._grid = SpatialHashGrid(cell_size=visibility_radius)
-            for i, robot in enumerate(robots):
-                self._grid.insert(robot.position)
-                self._point_index[robot.position] = i
 
-        super().__init__(robots, scheduler, caching=caching, trace_policy=trace_policy)
+        super().__init__(
+            robots,
+            scheduler,
+            caching=caching,
+            trace_policy=trace_policy,
+            look=look,
+            visibility_radius=visibility_radius,
+        )
 
         n = self.count
         self._rngs: List[random.Random] = [
@@ -496,16 +497,17 @@ class EventSimulator(Simulator):
     def _config_for_observation(self, index: int) -> Sequence[Vec2]:
         """What this robot's Look returns.
 
-        Zero delay serves the live configuration object itself —
-        preserving the identity-based observation-cache fast path, and
-        with it byte-identity to the round engine.  With a delay model,
+        Zero delay defers to the base seam — the live configuration
+        object itself (preserving the identity-based observation-cache
+        fast path, and with it byte-identity to the round engine), or
+        whatever the ``look`` policy returns.  With a delay model,
         each entry is the *latest position change whose release time
         has passed*: a change of ``j`` at ``t`` is visible from
         ``delay_fcn(j, index, t)`` after ``t``, never before — so a
         delayed Look can lag reality but can never see the future.
         """
         if not self._track_history:
-            return self._positions
+            return super()._config_for_observation(index)
         now = self._clock
         delay_fcn = self._delay.delay_fcn
         config: List[Vec2] = []
@@ -540,20 +542,8 @@ class EventSimulator(Simulator):
             self._history[index].append((self._clock, position))
 
     # ------------------------------------------------------------------
-    # Huge-swarm hooks
+    # Huge-swarm hook
     # ------------------------------------------------------------------
-    def _world_visibility_radius(self) -> Optional[float]:
-        return self._visibility_radius
-
-    def _compute_visible_from(self, index: int) -> frozenset:
-        if self._grid is None:
-            return super()._compute_visible_from(index)
-        me = self._anchors[index]
-        visible = {index}
-        for point in self._grid.neighbors_within(me, self._visibility_radius):
-            visible.add(self._point_index[point])
-        return frozenset(visible)
-
     def _initial_local_view(
         self,
         index: int,

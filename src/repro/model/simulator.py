@@ -22,7 +22,8 @@ some position actually changes (a protocol movement or a
 configuration is cached against that epoch:
 
 * per-robot visibility sets are computed once at construction (they
-  depend only on the immutable anchors);
+  depend only on the immutable anchors, and a spatial hash keeps a
+  limited-visibility build O(n));
 * each robot's last observation is kept and reused — wholesale when
   the epoch did not advance, per-entry for robots whose position epoch
   predates the cached build (silent robots under asynchronous
@@ -42,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, SchedulerError
 from repro.geometry.vec import Vec2
+from repro.model.looks import LookPolicy
 from repro.model.observation import Observation, ObservedRobot
 from repro.model.protocol import BindingInfo
 from repro.model.robot import Robot
@@ -49,6 +51,7 @@ from repro.model.scheduler import Scheduler, SynchronousScheduler
 from repro.model.trace import Trace, TracePolicy, TraceStep
 from repro.perf.cache import CachedGeometry
 from repro.perf.counters import PerfStats
+from repro.perf.spatial import SpatialHashGrid
 
 __all__ = ["Simulator"]
 
@@ -88,12 +91,24 @@ class Simulator:
         trace_policy: optional memory bound for the recorded trace
             (ring buffer / stride sampling; see
             :class:`~repro.model.trace.TracePolicy`).
+        look: optional :class:`~repro.model.looks.LookPolicy` deciding
+            what each Look returns (stale looks, sensing noise); None
+            is the SSM default, the instantaneous ``P(t_j)``.
+        visibility_radius: optional limited visibility (world units,
+            positive): every observation and the bound ``P(t_0)``
+            knowledge are restricted to robots within this distance of
+            the observer.  None (default) is the paper's model, where
+            every robot sees every robot.
 
     The constructor *binds* every protocol: each robot learns its
     tracking index, the swarm size, its movement bound in local units,
     the initial configuration ``P(t_0)`` expressed in its stationary
     private frame, and (in identified systems) the observable IDs.
     """
+
+    #: Raised for an invalid constructor argument; the event engine
+    #: narrows it to :class:`~repro.errors.EventError`.
+    _config_error = ModelError
 
     def __init__(
         self,
@@ -102,7 +117,13 @@ class Simulator:
         *,
         caching: bool = True,
         trace_policy: Optional[TracePolicy] = None,
+        look: Optional[LookPolicy] = None,
+        visibility_radius: Optional[float] = None,
     ) -> None:
+        if visibility_radius is not None and visibility_radius <= 0.0:
+            raise self._config_error(
+                f"visibility_radius must be positive, got {visibility_radius}"
+            )
         if not robots:
             raise ModelError("a simulation needs at least one robot")
         protocols = [r.protocol for r in robots]
@@ -136,6 +157,9 @@ class Simulator:
             initial_positions=tuple(positions),
             policy=trace_policy if trace_policy is not None else TracePolicy(),
         )
+        self._look = look
+        if look is not None:
+            look.bind(self)
 
         # --- hot-path state -------------------------------------------
         self._caching = bool(caching)
@@ -150,7 +174,8 @@ class Simulator:
         # visibility every robot sees the same full set, so one shared
         # frozenset/tuple serves all n robots — O(n) memory instead of
         # the O(n²) that made 10k-robot swarms impossible to build.
-        if self._world_visibility_radius() is None:
+        self._visibility_radius = visibility_radius
+        if visibility_radius is None:
             full_set = frozenset(range(len(self._robots)))
             full_list = tuple(range(len(self._robots)))
             self._visible_sets: Tuple[frozenset, ...] = (full_set,) * len(self._robots)
@@ -158,6 +183,12 @@ class Simulator:
                 self._robots
             )
         else:
+            # A spatial hash with cell size = radius answers each
+            # robot's query from its 3x3 cell neighbourhood: O(n)
+            # construction instead of the all-pairs O(n²) scan.
+            self._grid = SpatialHashGrid(cell_size=visibility_radius)
+            self._grid.extend(positions)
+            self._point_index = seen  # position -> robot, from the check above
             self._visible_sets = tuple(
                 self._compute_visible_from(i) for i in range(len(self._robots))
             )
@@ -185,7 +216,6 @@ class Simulator:
         self._robot_phase_hook: Optional[Callable[[str, int, int], None]] = None
 
         observable_ids = tuple(ids) if self._identified else None
-        world_visibility = self._world_visibility_radius()
         for index, robot in enumerate(self._robots):
             visible = self._visible_from(index)
             initial_local = self._initial_local_view(index, robot, visible, positions)
@@ -197,8 +227,8 @@ class Simulator:
                     initial_positions=initial_local,
                     observable_ids=observable_ids,
                     visibility_radius=(
-                        world_visibility / robot.frame.scale
-                        if world_visibility is not None
+                        visibility_radius / robot.frame.scale
+                        if visibility_radius is not None
                         else None
                     ),
                 )
@@ -236,6 +266,11 @@ class Simulator:
     def epoch(self) -> int:
         """The configuration epoch (bumps only when positions change)."""
         return self._epoch
+
+    @property
+    def look(self) -> Optional[LookPolicy]:
+        """The Look policy; None is the SSM default (``P(t_j)`` as is)."""
+        return self._look
 
     @property
     def stats(self) -> PerfStats:
@@ -504,24 +539,15 @@ class Simulator:
             for i, p in enumerate(positions)
         )
 
-    def _world_visibility_radius(self) -> Optional[float]:
-        """Visibility range in world units; None means unlimited.
-
-        The base simulator implements the paper's default model (every
-        robot sees every robot); :class:`repro.visibility.simulator.
-        VisibilitySimulator` overrides this.
-        """
-        return None
-
     def _compute_visible_from(self, index: int) -> frozenset:
         """Visibility of ``index`` from scratch (anchors only)."""
-        radius = self._world_visibility_radius()
+        radius = self._visibility_radius
         if radius is None:
             return frozenset(range(self.count))
-        me = self._anchors[index]
-        return frozenset(
-            i for i in range(self.count) if me.distance_to(self._anchors[i]) <= radius
-        )
+        visible = {index}
+        for point in self._grid.neighbors_within(self._anchors[index], radius):
+            visible.add(self._point_index[point])
+        return frozenset(visible)
 
     def _visible_from(self, index: int) -> frozenset:
         """Indices visible to ``index`` (always includes itself).
@@ -538,16 +564,18 @@ class Simulator:
     def _config_for_observation(self, index: int) -> Sequence[Vec2]:
         """The configuration an activation's Look phase returns.
 
-        The SSM default is the instantaneous ``P(t_j)``; the CORDA-style
-        :class:`repro.corda.simulator.StaleLookSimulator` overrides this
-        with a (boundedly) stale configuration.
+        The SSM default is the instantaneous ``P(t_j)``; a
+        :class:`~repro.model.looks.LookPolicy` (``look=``) replaces it,
+        e.g. with a boundedly stale or a noisy configuration.
         """
-        return self._positions
+        if self._look is None:
+            return self._positions
+        return self._look.config(self, index)
 
     def _observe(self, index: int) -> Observation:
-        # Subclass hooks may have side effects (stale-look bookkeeping,
+        # Look policies may have side effects (stale-look bookkeeping,
         # noise RNG draws), so the config is fetched unconditionally —
-        # caching must never change how often hooks run.
+        # caching must never change how often they run.
         config = self._config_for_observation(index)
         if not self._caching:
             return self._observe_uncached(index, config)

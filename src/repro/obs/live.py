@@ -49,7 +49,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 from repro.errors import ObservabilityError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOTracker, default_serve_slos
-from repro.obs.stream import _percentile
+from repro.obs.stream import percentile
 
 __all__ = [
     "RequestSpan",
@@ -256,7 +256,7 @@ class WindowAggregator:
 
     def percentile(self, op: str, app: str, q: float) -> float:
         """Nearest-rank percentile of one key's window (0.0 if empty)."""
-        return _percentile(sorted(self._latencies.get((op, app), ())), q)
+        return percentile(sorted(self._latencies.get((op, app), ())), q)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """One row per key: counts plus rolling p50/p90/p99 (seconds)."""
@@ -270,9 +270,9 @@ class WindowAggregator:
                     "count": self._count.get(key, 0),
                     "errors": self._errors.get(key, 0),
                     "window": len(sample),
-                    "p50": _percentile(sample, 50),
-                    "p90": _percentile(sample, 90),
-                    "p99": _percentile(sample, 99),
+                    "p50": percentile(sample, 50),
+                    "p90": percentile(sample, 90),
+                    "p99": percentile(sample, 99),
                 }
             )
         return rows

@@ -31,7 +31,7 @@ from typing import Deque, Dict, List, Optional, TextIO, Tuple
 from .events import BIT_ACK, BIT_ENCODE_STARTED, BIT_RECEIPT, Event
 from .export import _open_text
 
-__all__ = ["StreamingSink", "FlowLatencyTracker", "watch_file"]
+__all__ = ["StreamingSink", "FlowLatencyTracker", "percentile", "watch_file"]
 
 
 class StreamingSink:
@@ -92,8 +92,13 @@ class StreamingSink:
             return len(self._queue)
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (0.0 if empty).
+
+    ``q`` is a percent; rank ``ceil(q * n / 100)``, at least 1, as in
+    numpy's ``method="inverted_cdf"``.  Every latency percentile that
+    :mod:`repro.obs` and :mod:`repro.serve` report comes from here.
+    """
     if not sorted_values:
         return 0.0
     rank = max(1, int(-(-q * len(sorted_values) // 100)))  # ceil
@@ -152,9 +157,9 @@ class FlowLatencyTracker:
                     "delivered": self._delivered.get(flow, 0),
                     "acked": self._acked.get(flow, 0),
                     "window": len(sample),
-                    "p50": _percentile(sample, 50),
-                    "p90": _percentile(sample, 90),
-                    "p99": _percentile(sample, 99),
+                    "p50": percentile(sample, 50),
+                    "p90": percentile(sample, 90),
+                    "p99": percentile(sample, 99),
                 }
             )
         return rows

@@ -47,7 +47,11 @@ class SpatialHashGrid:
         self._count += 1
 
     def neighbors_within(self, point: Vec2, radius: float) -> Iterator[Vec2]:
-        """Every indexed point with ``distance_to(point) <= radius``."""
+        """Every indexed point with ``distance_sq_to(point) <= radius**2``.
+
+        Squared, so at exactly ``radius`` rounding decides: ``(0.1,
+        0.1)`` is outside ``hypot(0.1, 0.1)`` of the origin.
+        """
         if radius < 0.0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         reach = max(1, math.ceil(radius / self._cell))

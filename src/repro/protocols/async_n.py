@@ -66,7 +66,8 @@ class AsyncNProtocol(Protocol):
         off_center_fraction: decode margin — a robot within this
             fraction of its granular radius from its centre counts as
             at the centre.  The tiny default assumes exact sensing;
-            raise it under sensor noise (:mod:`repro.noise`).
+            raise it under sensor noise
+            (:class:`~repro.model.looks.SensingNoise`).
         change_fraction: acknowledgement debounce — only peer
             displacements beyond this fraction of the observer's own
             granular radius count as "the position changed".  0 is the

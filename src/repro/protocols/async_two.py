@@ -60,7 +60,8 @@ class AsyncTwoProtocol(Protocol):
         on_line_fraction: decode margin — a peer within this fraction
             of the inter-robot distance from ``H`` counts as on the
             line.  The tiny default assumes exact sensing; raise it
-            (e.g. to 0.05) under sensor noise (:mod:`repro.noise`).
+            (e.g. to 0.05) under sensor noise
+            (:class:`~repro.model.looks.SensingNoise`).
         change_fraction: debounce for the acknowledgement counters —
             only peer displacements beyond this fraction of the
             inter-robot distance count as "the position changed".

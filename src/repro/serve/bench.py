@@ -35,20 +35,13 @@ from typing import Dict, List, Optional
 
 from repro.errors import ServeError
 from repro.obs.live import RequestTracer
+from repro.obs.stream import percentile
 from repro.serve.client import ServeClient
 from repro.serve.manager import ServeConfig, SessionManager
 from repro.serve.pool import make_pool
 from repro.serve.store import SessionStore
 
 __all__ = ["churn_phase", "main", "run_bench", "throughput_phase"]
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already sorted sample."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[index]
 
 
 async def _drive_chat(
@@ -137,8 +130,8 @@ async def throughput_phase(
         "sessions_per_sec": completed / wall_s if wall_s > 0 else 0.0,
         "instants_total": stats["instants"],
         "steps_per_sec": stats["instants"] / wall_s if wall_s > 0 else 0.0,
-        "step_p50_ms": 1e3 * _percentile(latencies, 0.50),
-        "step_p99_ms": 1e3 * _percentile(latencies, 0.99),
+        "step_p50_ms": 1e3 * percentile(latencies, 50),
+        "step_p99_ms": 1e3 * percentile(latencies, 99),
         # server-side queueing, attributed by the request tracer (the
         # rolling window covers the tail of the run)
         "queue_wait_p99_ms": 1e3 * tracer.span_percentile("queue-wait", 99),

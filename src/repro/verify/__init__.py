@@ -36,7 +36,7 @@ Command line::
     python -m repro.verify --list
 """
 
-from repro.verify.adversaries import SawtoothStaleLookSimulator
+from repro.verify.adversaries import SawtoothStaleLook
 from repro.verify.engine import CellResult, Report, drive, run_cell, run_matrix
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
@@ -98,7 +98,7 @@ __all__ = [
     "BoundedUnfairScheduler",
     "BurstScheduler",
     "CrashScheduler",
-    "SawtoothStaleLookSimulator",
+    "SawtoothStaleLook",
     # mutants
     "MUTANTS",
     "MutantResult",

@@ -1,120 +1,44 @@
 """Non-scheduler adversaries: worst-case stale looks.
 
-The CORDA-style engine (:mod:`repro.corda`) draws each activation's
-Look lag uniformly.  The *adversarial* lag choice is not the maximal
-lag — a constant lag is just a delayed but gap-free replay of the
-history — it is the **sawtooth**: alternate between the maximal lag
-and no lag at all, which makes consecutive looks jump forward by up
-to ``max_delay + 1`` instants and therefore *skip* whole
-configurations.  Skipped configurations are exactly what breaks
-undilated decoders (see ``dilation`` in
+The CORDA-style look policy (:class:`repro.model.looks.StaleLook`)
+draws each activation's Look lag uniformly.  The *adversarial* lag
+choice is not the maximal lag — a constant lag is just a delayed but
+gap-free replay of the history — it is the **sawtooth**: alternate
+between the maximal lag and no lag at all, which makes consecutive
+looks jump forward by up to ``max_delay + 1`` instants and therefore
+*skip* whole configurations.  Skipped configurations are exactly what
+breaks undilated decoders (see ``dilation`` in
 :class:`repro.protocols.sync_granular.SyncGranularProtocol`), so this
 is the worst case the dilation guarantee is stated against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.corda.simulator import StaleLookSimulator
-from repro.errors import ModelError
-from repro.events.engine import EventSimulator
-from repro.events.timing import TimingModel
-from repro.geometry.vec import Vec2
-from repro.model.robot import Robot
-from repro.model.scheduler import Scheduler
-from repro.model.trace import TracePolicy
+from repro.model.looks import StaleLook
 
-__all__ = ["SawtoothStaleEventSimulator", "SawtoothStaleLookSimulator"]
+__all__ = ["SawtoothStaleLook"]
 
 
-class SawtoothStaleLookSimulator(StaleLookSimulator):
+class SawtoothStaleLook(StaleLook):
     """Stale looks with the adversarial sawtooth lag policy.
 
     Per robot, activations alternate between the maximal legal lag
     (``max_delay``) and a perfectly fresh look (lag 0), maximizing
     the forward jumps of the (monotone) look sequence.  Deterministic:
     no randomness is involved, so paired caching-on/off runs are
-    trivially identical.
+    trivially identical.  Both scalar engines issue a round's looks
+    in ``sorted(active)`` order, so the sawtooth phases advance in
+    lockstep on the round engine and on the event engine in round
+    emulation.
     """
 
-    def __init__(self, robots: Sequence, max_delay: int, **kwargs) -> None:
-        super().__init__(robots, max_delay, **kwargs)
-        self._sawtooth_phase: List[int] = [0] * len(robots)
+    def bind(self, sim) -> None:
+        super().bind(sim)
+        self._sawtooth_phase: List[int] = [0] * sim.count
 
     def _draw_lag(self, index: int, now: int) -> int:
         phase = self._sawtooth_phase[index]
         self._sawtooth_phase[index] = 1 - phase
         return self._max_delay if phase == 0 else 0
-
-
-class SawtoothStaleEventSimulator(EventSimulator):
-    """The event-engine twin of :class:`SawtoothStaleLookSimulator`.
-
-    Runs the event engine in round-emulation mode (unit phases,
-    scheduler-driven) and overrides the same single observation hook
-    the round-engine adversary does: per robot, activations alternate
-    between the maximal legal lag and a fresh look, with the look
-    sequence kept monotone.  In round emulation ``self.time`` is the
-    unincremented round index while the round's looks pop — exactly
-    the round engine's notion of "now" — and both engines issue looks
-    in ``sorted(active)`` order, so the sawtooth phases advance in
-    lockstep and the twins stay byte-identical.
-
-    Exposes ``max_delay`` / ``look_time_of`` so the staleness-contract
-    monitor (:class:`repro.verify.monitors.StalenessContractMonitor`)
-    audits this engine the same way it audits the round one.
-    """
-
-    def __init__(
-        self,
-        robots: Sequence[Robot],
-        max_delay: int,
-        scheduler: Optional[Scheduler] = None,
-        *,
-        caching: bool = True,
-        trace_policy: Optional[TracePolicy] = None,
-    ) -> None:
-        if max_delay < 0:
-            raise ModelError(f"max_delay must be >= 0, got {max_delay}")
-        if trace_policy is not None and max_delay > 0:
-            if trace_policy.stride > 1 or (
-                trace_policy.capacity is not None
-                and trace_policy.capacity < max_delay
-            ):
-                raise ModelError(
-                    "stale looks need the last max_delay configurations: "
-                    f"policy {trace_policy!r} cannot serve max_delay={max_delay}"
-                )
-        self._max_delay = max_delay
-        self._look_times: List[int] = [0] * len(robots)
-        self._sawtooth_phase: List[int] = [0] * len(robots)
-        super().__init__(
-            robots,
-            scheduler,
-            timing=TimingModel.round_emulation(),
-            caching=caching,
-            trace_policy=trace_policy,
-        )
-
-    @property
-    def max_delay(self) -> int:
-        """The staleness bound, in instants."""
-        return self._max_delay
-
-    def look_time_of(self, index: int) -> int:
-        """The instant whose configuration the robot last looked at."""
-        return self._look_times[index]
-
-    def _config_for_observation(self, index: int) -> Sequence[Vec2]:
-        if self._max_delay == 0:
-            return self._positions
-        now = self.time
-        phase = self._sawtooth_phase[index]
-        self._sawtooth_phase[index] = 1 - phase
-        lag = self._max_delay if phase == 0 else 0
-        look = max(self._look_times[index], now - lag)
-        self._look_times[index] = look
-        if look >= now:
-            return self._positions
-        return self.trace.positions_at(look)

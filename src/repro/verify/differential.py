@@ -91,8 +91,8 @@ _EVENT_ONLY = (
 #: reason — reported as skips, exactly like the matrix's own ``SKIPS``.
 ORACLE_SKIPS: Dict[Tuple[str, str], str] = {
     ("backend", "worst_stale"): (
-        "the stale-look adversary is a scalar Simulator subclass "
-        "(per-robot Look snapshots); the batch backend has no twin"
+        "the stale-look adversary is a look policy (per-robot Look "
+        "snapshots); the batch backend does not run look policies"
     ),
     **{(axis, adv): _EVENT_ONLY for axis in AXES for adv in EVENT_ADVERSARIES},
 }

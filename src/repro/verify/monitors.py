@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.vec import Vec2
+from repro.model.looks import StaleLook
 from repro.model.simulator import Simulator
 from repro.model.trace import TraceStep
 
@@ -331,9 +332,10 @@ class SchedulerContractMonitor(InvariantMonitor):
 class StalenessContractMonitor(InvariantMonitor):
     """Stale looks must be monotone and boundedly old.
 
-    For CORDA-style runs: every robot's look time never decreases (a
-    robot never un-sees) and an activated robot's look lags the
-    present by at most ``max_delay`` instants.
+    For CORDA-style runs (a :class:`~repro.model.looks.StaleLook`
+    policy on either scalar engine): every robot's look time never
+    decreases (a robot never un-sees) and an activated robot's look
+    lags the present by at most ``max_delay`` instants.
     """
 
     name = "staleness"
@@ -343,10 +345,11 @@ class StalenessContractMonitor(InvariantMonitor):
         self._previous_looks: Optional[List[int]] = None
 
     def on_step(self, sim: Simulator, step: TraceStep) -> None:
-        max_delay = getattr(sim, "max_delay", None)
-        look_of = getattr(sim, "look_time_of", None)
-        if max_delay is None or look_of is None:
+        stale = getattr(sim, "look", None)
+        if not isinstance(stale, StaleLook):
             return
+        max_delay = stale.max_delay
+        look_of = stale.look_time_of
         count = sim.count
         if self._previous_looks is None:
             self._previous_looks = [0] * count

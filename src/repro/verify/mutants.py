@@ -17,7 +17,7 @@ the kind of regression a refactor could plausibly introduce:
 ``slow``        the sender holds excursions twice as long (*two-per-bit*)
 ``rammer``      one robot steers onto another (*collision*)
 ``starver``     a scheduler breaks its declared fairness (*scheduler*)
-``amnesiac``    a stale-look engine rewinds look times (*staleness*)
+``amnesiac``    a stale-look policy rewinds look times (*staleness*)
 ==============  ====================================================
 """
 
@@ -35,7 +35,7 @@ from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler, SynchronousScheduler
 from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
-from repro.verify.adversaries import SawtoothStaleLookSimulator
+from repro.verify.adversaries import SawtoothStaleLook
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
     InvariantMonitor,
@@ -130,12 +130,12 @@ class _StarvingScheduler(Scheduler):
         return frozenset({0})
 
 
-class _AmnesiacStaleSimulator(SawtoothStaleLookSimulator):
+class _AmnesiacStaleLook(SawtoothStaleLook):
     """Periodically rewinds a robot's look clock: the robot un-sees."""
 
-    def _config_for_observation(self, index: int):
-        config = super()._config_for_observation(index)
-        if self.time >= 4 and self.time % 4 == 0:
+    def config(self, sim: Simulator, index: int):
+        config = super().config(sim, index)
+        if sim.time >= 4 and sim.time % 4 == 0:
             self._look_times[index] = 0
         return config
 
@@ -196,7 +196,9 @@ def _build(mutant: str) -> Tuple[Simulator, List[InvariantMonitor]]:
         robots = _swarm(
             lambda: SyncGranularProtocol(naming="identified", dilation=3)
         )
-        sim = _AmnesiacStaleSimulator(robots, 2, scheduler=SynchronousScheduler())
+        sim = Simulator(
+            robots, SynchronousScheduler(), look=_AmnesiacStaleLook(2)
+        )
         monitors = [StalenessContractMonitor()]
     else:
         protocol_cls = {

@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.corda.simulator import StaleLookSimulator
 from repro.errors import ModelError
 from repro.faults.transient import TransientDisplacementFault
 from repro.geometry.frames import make_frames
@@ -40,7 +39,7 @@ from repro.protocols.flocking import FlockingProtocol
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.protocols.sync_logk import SyncLogKProtocol
 from repro.protocols.sync_two import SyncTwoProtocol
-from repro.verify.adversaries import SawtoothStaleLookSimulator
+from repro.verify.adversaries import SawtoothStaleLook
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
     InvariantMonitor,
@@ -629,59 +628,38 @@ def build_run(
         scheduler = scheduler_factory()
     if engine not in ("rounds", "events"):
         raise ModelError(f"unknown engine {engine!r} (choose rounds or events)")
-    if adv in EVENT_ADVERSARIES:
-        from repro.events.engine import EventSimulator
-
-        if backend != "scalar":
-            raise ModelError(
-                f"the {adv} adversary runs on the event engine, which is "
-                f"scalar-only; backend {backend!r} has no twin"
-            )
-        sim: Simulator = EventSimulator(
-            robots,
-            None,
-            timing=event_timing,
-            delay=event_delay,
-            seed=seed * 9_176 + 5,
-            caching=caching,
-        )
-    elif adv == "worst_stale":
-        if backend != "scalar":
-            raise ModelError(
-                "the worst_stale adversary is a scalar Simulator subclass; "
-                f"backend {backend!r} has no stale-look twin"
-            )
-        if engine == "events":
-            from repro.verify.adversaries import SawtoothStaleEventSimulator
-
-            sim = SawtoothStaleEventSimulator(
-                robots, STALE_MAX_DELAY, scheduler=scheduler, caching=caching
-            )
-        else:
-            sim = SawtoothStaleLookSimulator(
-                robots, STALE_MAX_DELAY, scheduler=scheduler, caching=caching
-            )
-    elif engine == "events":
+    look = SawtoothStaleLook(STALE_MAX_DELAY) if adv == "worst_stale" else None
+    if adv in EVENT_ADVERSARIES or engine == "events":
         from repro.events.engine import EventSimulator
         from repro.events.timing import TimingModel
 
         if backend != "scalar":
             raise ModelError(
-                "engine='events' runs on the scalar backend only; "
-                f"got backend {backend!r}"
+                f"the event engine is scalar-only; backend {backend!r} has "
+                f"no twin for the {adv} cell on engine={engine!r}"
             )
-        sim = EventSimulator(
+        # Round emulation (no event_timing) draws no durations, so the
+        # seed only matters to the free-running event_* adversaries.
+        sim: Simulator = EventSimulator(
             robots,
             scheduler,
-            timing=TimingModel.round_emulation(),
+            timing=event_timing or TimingModel.round_emulation(),
+            delay=event_delay,
+            seed=seed * 9_176 + 5,
             caching=caching,
+            look=look,
         )
     elif backend == "batch":
         from repro.batch.engine import BatchSimulator
 
+        if look is not None:
+            raise ModelError(
+                f"the {adv} adversary is a look policy, which the batch "
+                "backend does not support"
+            )
         sim = BatchSimulator(robots, scheduler, caching=caching)
     elif backend == "scalar":
-        sim = Simulator(robots, scheduler, caching=caching)
+        sim = Simulator(robots, scheduler, caching=caching, look=look)
     else:
         raise ModelError(f"unknown backend {backend!r} (choose scalar or batch)")
 

@@ -8,9 +8,14 @@
 This subpackage answers the question positively for *connected*
 visibility graphs of identified robots with sense of direction:
 
-* :class:`~repro.visibility.simulator.VisibilitySimulator` restricts
-  every observation (and the bound ``P(t_0)`` knowledge) to robots
-  within a visibility radius;
+* either scalar engine's ``visibility_radius`` keyword
+  (:class:`~repro.model.simulator.Simulator`,
+  :class:`~repro.events.engine.EventSimulator`) restricts every
+  observation (and the bound ``P(t_0)`` knowledge) to robots within a
+  visibility radius, evaluated on the initial configuration — granular
+  movements stay within bands much smaller than any sensible radius,
+  so a static graph loses nothing and keeps "who can decode whom"
+  well-defined;
 * :class:`~repro.visibility.protocol.LocalGranularProtocol` is a
   granular movement protocol that needs only local information — its
   granular radius is derived from *visible* neighbours plus the
@@ -29,7 +34,6 @@ from repro.visibility.graph import (
     visibility_neighbors,
 )
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
 from repro.visibility.flooding import FloodRouter, RoutedMessage
 
 __all__ = [
@@ -37,7 +41,6 @@ __all__ = [
     "visibility_neighbors",
     "visibility_is_connected",
     "shortest_route",
-    "VisibilitySimulator",
     "LocalGranularProtocol",
     "FloodRouter",
     "RoutedMessage",

@@ -1,8 +1,10 @@
 """Visibility graphs over robot configurations.
 
-Robots ``i`` and ``j`` are mutually visible when their distance is at
-most the visibility radius; the resulting graph decides which pairs can
-exchange movement signals directly and which need relaying.
+Robots ``i`` and ``j`` are mutually visible when their squared distance
+is at most the squared visibility radius — the same comparison the
+engines' ``visibility_radius`` makes, so the planner and a run agree
+even exactly at the radius.  The resulting graph decides which pairs
+can exchange movement signals directly and which need relaying.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def visibility_graph(positions: Sequence[Vec2], radius: float) -> nx.Graph:
     graph.add_nodes_from(range(len(positions)))
     for i in range(len(positions)):
         for j in range(i + 1, len(positions)):
-            if positions[i].distance_to(positions[j]) <= radius:
+            if positions[i].distance_sq_to(positions[j]) <= radius * radius:
                 graph.add_edge(i, j)
     return graph
 

@@ -7,10 +7,11 @@ from typing import List
 import pytest
 
 from repro.apps.harness import ring_positions
-from repro.corda.simulator import StaleLookSimulator
 from repro.errors import ModelError, ProtocolError
 from repro.geometry.vec import Vec2
+from repro.model.looks import StaleLook
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 BITS = [1, 0, 1, 0, 1]
@@ -27,7 +28,7 @@ def build(delay: int, dilation: int, seed: int = 0) -> tuple:
         )
         for i, p in enumerate(positions)
     ]
-    sim = StaleLookSimulator(robots, max_delay=delay, seed=seed)
+    sim = Simulator(robots, look=StaleLook(delay, seed=seed))
     return sim, robots
 
 
@@ -46,7 +47,7 @@ class TestSimulator:
             for i, p in enumerate(positions)
         ]
         with pytest.raises(ModelError):
-            StaleLookSimulator(robots, max_delay=-1)
+            Simulator(robots, look=StaleLook(-1))
 
     def test_zero_delay_is_ssm(self):
         assert run_transfer(delay=0, dilation=1) == BITS
@@ -57,7 +58,7 @@ class TestSimulator:
         for _ in range(60):
             sim.step()
             for i in range(5):
-                look = sim.look_time_of(i)
+                look = sim.look.look_time_of(i)
                 assert look >= previous[i]
                 assert look >= sim.time - 1 - 3  # bounded lag
                 previous[i] = look

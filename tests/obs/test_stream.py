@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
 from repro.obs.events import BIT_ACK, BIT_ENCODE_STARTED, BIT_RECEIPT, STEP, Event
 from repro.obs.export import dump_run
-from repro.obs.stream import FlowLatencyTracker, StreamingSink, watch_file
+from repro.obs.stream import FlowLatencyTracker, StreamingSink, percentile, watch_file
 from repro.obs.__main__ import record_demo
 
 
@@ -193,3 +194,19 @@ class TestWatchFile:
         out = io.StringIO()
         consumed = watch_file(str(path), iterations=1, out=out, sleep=lambda _: None)
         assert consumed == 3  # the torn tail stayed in the buffer
+
+
+class TestPercentile:
+    """The one nearest-rank percentile, against a stated reference."""
+
+    def test_matches_numpy_inverted_cdf(self):
+        numpy = pytest.importorskip("numpy")
+        rng = random.Random(7)
+        for _ in range(500):
+            sample = sorted(rng.uniform(0.0, 10.0) for _ in range(rng.randint(1, 300)))
+            for q in (0, 1, 25, 50, 90, 99, 100):
+                expected = float(numpy.percentile(sample, q, method="inverted_cdf"))
+                assert percentile(sample, q) == expected
+
+    def test_empty_sample_is_zero(self):
+        assert percentile([], 99) == 0.0

@@ -14,16 +14,14 @@ from typing import List
 
 from repro.channels.transport import MovementChannel
 from repro.apps.harness import SwarmHarness, ring_positions
-from repro.corda.simulator import StaleLookSimulator
 from repro.geometry.vec import Vec2
+from repro.model.looks import SensingNoise, StaleLook
 from repro.model.robot import Robot
 from repro.model.scheduler import FairAsynchronousScheduler
 from repro.model.simulator import Simulator
-from repro.noise.simulator import NoisyObservationSimulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.visibility.flooding import FloodRouter
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
 
 
 def assert_traces_identical(a: Simulator, b: Simulator) -> None:
@@ -109,7 +107,7 @@ class TestCordaStale:
                 )
                 for i, p in enumerate(ring_positions(6, radius=10.0, jitter=0.06))
             ]
-            sim = StaleLookSimulator(robots, max_delay=2, seed=7, caching=caching)
+            sim = Simulator(robots, caching=caching, look=StaleLook(2, seed=7))
             robots[0].protocol.send_bits(3, [1, 0, 1])
             sim.run(40)
             return sim
@@ -139,7 +137,7 @@ class TestVisibilityLimited:
                 )
                 for i, p in enumerate(self._positions())
             ]
-            sim = VisibilitySimulator(
+            sim = Simulator(
                 robots, visibility_radius=self.RADIUS, caching=caching
             )
             routers = [FloodRouter(MovementChannel(r.protocol)) for r in robots]
@@ -170,7 +168,7 @@ class TestNoisySensing:
                 )
                 for i, p in enumerate(ring_positions(5, radius=10.0, jitter=0.06))
             ]
-            sim = NoisyObservationSimulator(robots, noise_std=0.05, seed=11, caching=caching)
+            sim = Simulator(robots, caching=caching, look=SensingNoise(0.05, seed=11))
             robots[0].protocol.send_bits(2, [1, 0, 1])
             sim.run(12)
             return sim

@@ -8,10 +8,10 @@ from repro.errors import ModelError
 from repro.geometry.vec import Vec2
 from repro.model.observation import Observation
 from repro.model.protocol import Protocol
+from repro.model.looks import StaleLook
 from repro.model.robot import Robot
 from repro.model.simulator import Simulator
 from repro.model.trace import TracePolicy
-from repro.corda.simulator import StaleLookSimulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.apps.harness import ring_positions
 
@@ -136,19 +136,19 @@ class TestPolicyOnRealRuns:
             for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
         ]
         with pytest.raises(ModelError, match="max_delay"):
-            StaleLookSimulator(
-                robots, max_delay=3, trace_policy=TracePolicy(capacity=2)
+            Simulator(
+                robots, trace_policy=TracePolicy(capacity=2), look=StaleLook(3)
             )
         with pytest.raises(ModelError, match="max_delay"):
-            StaleLookSimulator(robots, max_delay=1, trace_policy=TracePolicy(stride=2))
+            Simulator(robots, trace_policy=TracePolicy(stride=2), look=StaleLook(1))
 
     def test_stale_look_simulator_accepts_sufficient_capacity(self):
         robots = [
             Robot(position=p, protocol=Drift(), sigma=1.0)
             for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
         ]
-        sim = StaleLookSimulator(
-            robots, max_delay=2, seed=3, trace_policy=TracePolicy(capacity=16)
+        sim = Simulator(
+            robots, trace_policy=TracePolicy(capacity=16), look=StaleLook(2, seed=3)
         )
         sim.run(30)
         assert len(sim.trace.steps) <= 16

@@ -65,8 +65,9 @@ class TestValidation:
 
 class TestNoiseRobustMode:
     def test_delivery_under_sensing_noise(self):
+        from repro.model.looks import SensingNoise
         from repro.model.robot import Robot
-        from repro.noise.simulator import NoisyObservationSimulator
+        from repro.model.simulator import Simulator
 
         positions = ring_positions(4, radius=10.0, jitter=0.07)
         robots = [
@@ -83,11 +84,10 @@ class TestNoiseRobustMode:
             )
             for i, p in enumerate(positions)
         ]
-        sim = NoisyObservationSimulator(
+        sim = Simulator(
             robots,
-            noise_std=0.05,
-            seed=2,
-            scheduler=FairAsynchronousScheduler(fairness_bound=3, seed=2),
+            FairAsynchronousScheduler(fairness_bound=3, seed=2),
+            look=SensingNoise(0.05, seed=2),
         )
         robots[0].protocol.send_bits(2, [1, 0])
         for _ in range(50_000):

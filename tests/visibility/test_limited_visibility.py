@@ -10,10 +10,10 @@ from repro.channels.transport import MovementChannel
 from repro.errors import ChannelError, ModelError, ProtocolError
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.visibility.flooding import FloodRouter
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
 
 
 def line_positions(count: int, spacing: float = 10.0) -> List[Vec2]:
@@ -21,7 +21,7 @@ def line_positions(count: int, spacing: float = 10.0) -> List[Vec2]:
 
 
 def build_line(count: int = 5, radius: float = 12.0) -> Tuple[
-    VisibilitySimulator, List[MovementChannel], List[FloodRouter]
+    Simulator, List[MovementChannel], List[FloodRouter]
 ]:
     robots = [
         Robot(
@@ -32,7 +32,7 @@ def build_line(count: int = 5, radius: float = 12.0) -> Tuple[
         )
         for i, p in enumerate(line_positions(count))
     ]
-    sim = VisibilitySimulator(robots, visibility_radius=radius)
+    sim = Simulator(robots, visibility_radius=radius)
     channels = [MovementChannel(r.protocol) for r in robots]
     routers = [FloodRouter(c) for c in channels]
     return sim, channels, routers
@@ -45,11 +45,11 @@ def pump(sim, routers, steps: int) -> None:
             router.pump(sim.time)
 
 
-class TestVisibilitySimulator:
+class TestLimitedVisibility:
     def test_radius_validated(self):
         robots = [Robot(position=Vec2(0, 0), protocol=LocalGranularProtocol(), observable_id=0)]
         with pytest.raises(ModelError):
-            VisibilitySimulator(robots, visibility_radius=0.0)
+            Simulator(robots, visibility_radius=0.0)
 
     def test_observations_filtered(self):
         sim, _, _ = build_line()
@@ -71,8 +71,6 @@ class TestVisibilitySimulator:
 
 class TestLocalGranularProtocol:
     def test_requires_visibility_system(self):
-        from repro.model.simulator import Simulator
-
         robots = [
             Robot(position=Vec2(0, 0), protocol=LocalGranularProtocol(), observable_id=0),
             Robot(position=Vec2(5, 0), protocol=LocalGranularProtocol(), observable_id=1),
@@ -86,7 +84,7 @@ class TestLocalGranularProtocol:
             Robot(position=Vec2(5, 0), protocol=LocalGranularProtocol(), observable_id=3),
         ]
         with pytest.raises(ProtocolError):
-            VisibilitySimulator(robots, visibility_radius=10.0)
+            Simulator(robots, visibility_radius=10.0)
 
     def test_visible_peers(self):
         sim, _, _ = build_line()
@@ -121,7 +119,7 @@ class TestLocalGranularProtocol:
             Robot(position=p, protocol=LocalGranularProtocol(), sigma=4.0, observable_id=i)
             for i, p in enumerate(positions)
         ]
-        sim = VisibilitySimulator(robots, visibility_radius=12.0)
+        sim = Simulator(robots, visibility_radius=12.0)
         assert sim.protocol_of(0)._granulars[0].radius == pytest.approx(6.0)
 
 
@@ -165,7 +163,7 @@ class TestFloodRouter:
             Robot(position=p, protocol=LocalGranularProtocol(), sigma=3.0, observable_id=i)
             for i, p in enumerate(ring)
         ]
-        sim = VisibilitySimulator(robots, visibility_radius=radius)
+        sim = Simulator(robots, visibility_radius=radius)
         channels = [MovementChannel(r.protocol) for r in robots]
         routers = [FloodRouter(c) for c in channels]
         # Opposite side of the ring: 3 hops either way.
