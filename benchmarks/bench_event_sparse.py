@@ -8,11 +8,10 @@ Look/Compute/Move phases separated by a mean-297 exponential gap) —
 should process events at a rate independent of how many robots are
 currently idle.
 
-Reported: events/second through the heap (the engine's unit of work),
-achieved duty cycle, and peak heap depth.  The numbers land in
-``BENCH_history.jsonl`` (via ``run_all`` or this module's own
-``--history`` flag) where ``python -m repro.obs regress`` gates them
-longitudinally.
+The n=10,000 workload itself is the repo benchmark's ``sparse_n10k``
+(``perfbench/run.py``), built from :func:`sparse_swarm` and
+:func:`_sparse_timing`; its duty and heap-depth bounds are checked at
+n=2,000 by ``tests/events``.
 
 The engine-parametrized table cell compares the event engine against
 the round engine on a duty-matched workload at equal n: the round
@@ -117,12 +116,11 @@ def sparse_probe(
 
     Uses the event engine's huge-swarm construction path (spatial-hash
     limited visibility + lazy initial views: O(n) setup) and a live
-    :class:`~repro.obs.registry.MetricsRegistry`, whose snapshot is
-    returned under ``"metrics"`` for the longitudinal history.
+    :class:`~repro.obs.registry.MetricsRegistry` for the event counts
+    and the peak heap depth.
     """
     from repro.events.engine import EventSimulator
     from repro.model.trace import TracePolicy
-    from repro.obs.history import metrics_from_snapshot
     from repro.obs.registry import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -144,10 +142,9 @@ def sparse_probe(
         sim.step()
         steps += 1
     run_s = time.perf_counter() - started
-    snapshot = metrics_from_snapshot(registry.collect())
     # Achieved duty: fraction of robot-time spent in a phase.  Each
     # popped move closes one 3-unit cycle; duty ~= cycles * span / (n * clock).
-    moves = snapshot.get("event_count{phase=move}", 0.0)
+    moves = registry.counter("event_count", phase="move").value
     duty = moves * ACTIVE_SPAN / (n * sim.clock) if sim.clock > 0 else 0.0
     return {
         "n": n,
@@ -160,8 +157,7 @@ def sparse_probe(
         "run_s": run_s,
         "events_per_sec": sim.events_processed / run_s if run_s > 0 else 0.0,
         "duty": duty,
-        "heap_depth_max": snapshot.get("event_heap_depth_max", 0.0),
-        "metrics": snapshot,
+        "heap_depth_max": registry.gauge("event_heap_depth_max").value,
     }
 
 
@@ -226,20 +222,6 @@ def duty_matched_cell(
     }
 
 
-def test_event_sparse_shape(benchmark):
-    row = benchmark.pedantic(
-        lambda: sparse_probe(n=2_000, events=6_000), rounds=1, iterations=1
-    )
-    # The engine did the requested work (step() can overshoot by at
-    # most one move batch) and the workload really was sparse.
-    assert row["events"] >= 6_000
-    assert 0.001 < row["duty"] < 0.05
-    # Heap depth stays O(n): one pending event per robot (plus the
-    # in-flight batch), never an event explosion.
-    assert row["heap_depth_max"] <= 2_000 + 10
-    assert row["events_per_sec"] > 0
-
-
 def test_duty_matched_engines_agree_on_duty(benchmark):
     rows = benchmark.pedantic(
         lambda: [duty_matched_cell(engine=e, n=400) for e in ("events", "rounds")],
@@ -252,70 +234,23 @@ def test_duty_matched_engines_agree_on_duty(benchmark):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Regenerate the table; ``--quick`` runs the CI-sized probe only.
-
-    ``--history PATH`` appends the probe's metrics snapshot to the
-    longitudinal history (gate with ``python -m repro.obs regress``).
-    """
+    """Regenerate the E1 duty-matched table."""
     import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI probe: smaller swarm, fewer events, no comparison table",
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    rows = [
+        duty_matched_cell(engine=engine, n=1_000)
+        for engine in ("events", "rounds")
+    ]
+    print_table(
+        "E1 — duty-matched sparse swarm, per-engine cost (n=1000, ~1% duty)",
+        ["engine", "activations", "run s", "activations/s", "duty"],
+        [
+            (r["engine"], int(r["activations"]), round(r["run_s"], 3),
+             int(r["activations_per_sec"]), f"{r['duty']:.2%}")
+            for r in rows
+        ],
     )
-    parser.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="append the probe metrics to this history file",
-    )
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        probe = sparse_probe(n=2_000, events=6_000)
-    else:
-        probe = sparse_probe()
-    print(
-        f"[event_sparse n={probe['n']}: "
-        f"{probe['events_per_sec']:,.0f} events/s over {probe['events']} events, "
-        f"duty {probe['duty']:.2%}, heap max {probe['heap_depth_max']:.0f}, "
-        f"build {probe['build_s']:.2f}s]"
-    )
-    if not args.quick:
-        rows = [
-            duty_matched_cell(engine=engine, n=1_000)
-            for engine in ("events", "rounds")
-        ]
-        print_table(
-            "E1 — duty-matched sparse swarm, per-engine cost (n=1000, ~1% duty)",
-            ["engine", "activations", "run s", "activations/s", "duty"],
-            [
-                (r["engine"], int(r["activations"]), round(r["run_s"], 3),
-                 int(r["activations_per_sec"]), f"{r['duty']:.2%}")
-                for r in rows
-            ],
-        )
-    if args.history:
-        from repro.obs.history import HistoryStore, entry_from_registry
-        from repro.obs.history.ingest import flatten_scalars
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.absorb(
-            flatten_scalars({k: v for k, v in probe.items() if k != "metrics"}),
-            probe="event_sparse",
-        )
-        registry.absorb(dict(probe["metrics"]))
-        entry = HistoryStore(args.history).append(
-            entry_from_registry(
-                registry,
-                run_id=f"bench_event_sparse-{'quick' if args.quick else 'full'}",
-                meta={"n": probe["n"], "mode": "quick" if args.quick else "full"},
-            )
-        )
-        print(
-            f"[history: entry #{entry.seq} "
-            f"({len(entry.metrics)} metrics) -> {args.history}]"
-        )
     return 0
 
 

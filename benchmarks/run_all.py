@@ -1,51 +1,43 @@
-"""The experiment driver: regenerate every table, in parallel, with JSON.
+"""The experiment driver: regenerate every table, then gate the invariants.
 
 Usage::
 
     python benchmarks/run_all.py                 # all tables, parallel
     python benchmarks/run_all.py --jobs 4        # bounded worker pool
     python benchmarks/run_all.py --sequential    # old single-process mode
-    python benchmarks/run_all.py --json BENCH_results.json
-    python -m benchmarks.run_all --quick --json BENCH_results.json
+    python benchmarks/run_all.py --store .campaigns/tables   # resumable
+    python -m benchmarks.run_all --quick         # the invariant gate only
     python -m benchmarks.run_all --quick --obs run.jsonl   # + obs export
-    python -m benchmarks.run_all --quick --workers 4 --store .campaigns/ci
 
-The driver is a thin wrapper over :mod:`repro.campaign`: the table
-matrix and the perf probes are submitted as campaign cells, executed
-by the campaign worker pool (``--jobs`` for tables, ``--workers`` for
-probes; 0 = inline), and read back from the result store.  Outputs are
-replayed in registration order so the document is reproducible
-byte-for-byte regardless of completion order; ``--store DIR`` keeps
-the store (and with it, resumability) instead of a throwaway one.
+The table matrix is a campaign: every module in :data:`MODULES` is
+submitted as ``repro.campaign`` bench cells, executed by the campaign
+worker pool (``--jobs``; ``--sequential`` = inline), and read back
+from the result store.  Outputs are replayed in registration order so
+the document is reproducible byte-for-byte regardless of completion
+order; ``--store DIR`` keeps the store (and with it, resumability)
+instead of a throwaway one.
 
-``--quick`` is the CI smoke target: it skips the full table matrix and
-runs only the perf probes — the cached-vs-uncached throughput A/B at
-n=64, a geometry-cache effectiveness probe, and the sync-granular
-2-steps-per-bit invariant — then writes the machine-readable results
-JSON.  A nonzero exit means an invariant or transparency check failed.
+After the tables comes the invariant gate, run inline: the
+sync-granular 2-instants-per-bit cost, caching transparency across
+the adversarial ``repro.verify`` matrix and, with ``--obs PATH``, the
+recorder transparency check.  ``--quick`` skips the tables and runs
+the gate alone; it is the CI gate.  A nonzero exit means a table
+failed or an invariant was violated.
+
+This driver measures no speed: ``perfbench/run.py`` is the repo
+benchmark (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import shutil
-import subprocess
 import sys
 import tempfile
-import time
-from typing import Dict, List, Optional, Tuple
-
-#: schema tag of the machine-readable results document; bump the
-#: version whenever a consumer-visible key changes shape.
-RESULTS_SCHEMA = "repro-bench-results"
-RESULTS_VERSION = 4
-
-#: where the longitudinal metrics history accumulates (one JSONL line
-#: per driver run, appended — never overwritten; see repro.obs.history).
-DEFAULT_HISTORY = "BENCH_history.jsonl"
+import traceback
+from typing import Callable, Dict, List, Optional
 
 # Allow `python benchmarks/run_all.py` from the repo root.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
@@ -70,7 +62,6 @@ from benchmarks import (
     bench_a4_staleness,
     bench_a5_noise,
     bench_event_sparse,
-    bench_serve,
     bench_p1_scaling,
     bench_p2_throughput,
     bench_p3_protocol_matrix,
@@ -96,7 +87,6 @@ MODULES = [
     bench_a4_staleness,
     bench_a5_noise,
     bench_event_sparse,
-    bench_serve,
     bench_p1_scaling,
     bench_p2_throughput,
     bench_p3_protocol_matrix,
@@ -109,19 +99,22 @@ MODULES = [
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run_cells(name: str, cells, workers: int, store_dir: Optional[str]):
-    """Run ``cells`` through the campaign engine; return the outcomes.
+def run_matrix(jobs: Optional[int], sequential: bool,
+               store_dir: Optional[str] = None) -> List[Dict]:
+    """Regenerate every experiment table as a campaign of bench cells.
 
     With ``store_dir`` the results persist (and a second run resumes
     from them); without, a throwaway store is used and deleted.  Cells
-    get a single attempt — a crashed table or probe is a *finding*,
-    not flakiness to retry.
+    get a single attempt — a crashed table is a *finding*, not
+    flakiness to retry.
     """
     from repro.campaign.runner import run_campaign
-    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.spec import CampaignSpec, bench_cells
 
+    workers = 0 if sequential else (jobs or min(len(MODULES), os.cpu_count() or 2))
     spec = CampaignSpec(
-        name=name, cells=cells, timeout_s=900.0, max_attempts=1
+        name="run-all-tables", cells=bench_cells(), timeout_s=900.0,
+        max_attempts=1,
     )
     persistent = store_dir is not None
     root = store_dir or tempfile.mkdtemp(prefix="repro-bench-store-")
@@ -136,224 +129,24 @@ def _run_cells(name: str, cells, workers: int, store_dir: Optional[str]):
     finally:
         if not persistent:
             shutil.rmtree(root, ignore_errors=True)
-    return outcome.outcomes
-
-
-def run_matrix(jobs: Optional[int], sequential: bool,
-               store_dir: Optional[str] = None) -> List[Dict]:
-    """Regenerate every experiment table as a campaign of bench cells."""
-    from repro.campaign.spec import bench_cells
-
-    workers = 0 if sequential else (jobs or min(len(MODULES), os.cpu_count() or 2))
     entries: List[Dict] = []
-    for outcome in _run_cells("run-all-tables", bench_cells(), workers, store_dir):
-        payload = outcome.payload or {}
+    for cell in outcome.outcomes:
+        payload = cell.payload or {}
         entry: Dict = {
-            "name": str(outcome.cell.params["module"]),
-            "ok": outcome.status == "ok",
-            "elapsed_s": outcome.elapsed_s,
+            "name": str(cell.cell.params["module"]),
+            "ok": cell.status == "ok",
+            "elapsed_s": cell.elapsed_s,
             "output": str(payload.get("output", "")),
         }
-        if outcome.error is not None:  # pragma: no cover - reporting path
-            entry["error"] = outcome.error
+        if cell.error is not None:  # pragma: no cover - reporting path
+            entry["error"] = cell.error
         entries.append(entry)
     return entries
 
 
 # ----------------------------------------------------------------------
-# Perf probes (the BENCH_results.json payload)
+# The invariant gate
 # ----------------------------------------------------------------------
-def throughput_probe(n: int = 64, steps: int = 40) -> Dict:
-    """Cached-vs-uncached A/B of the synchronous granular hot path.
-
-    Semantic transparency is asserted, not assumed: the run fails if
-    the two traces or the delivered bit streams differ in any way.
-    """
-    from repro.apps.harness import SwarmHarness, ring_positions
-    from repro.protocols.sync_granular import SyncGranularProtocol
-
-    def run(caching: bool):
-        harness = SwarmHarness(
-            ring_positions(n, radius=10.0, jitter=0.06),
-            protocol_factory=lambda: SyncGranularProtocol(),
-            sigma=4.0,
-            caching=caching,
-        )
-        harness.simulator.protocol_of(0).send_bits(n // 2, [1, 0] * 8)
-        started = time.perf_counter()
-        harness.run(steps)
-        return harness, time.perf_counter() - started
-
-    uncached, uncached_s = run(caching=False)
-    cached, cached_s = run(caching=True)
-    trace_identical = (
-        uncached.simulator.trace.initial_positions
-        == cached.simulator.trace.initial_positions
-        and uncached.simulator.trace.steps == cached.simulator.trace.steps
-    )
-    bits_identical = [
-        (e.src, e.dst, e.bit) for e in uncached.simulator.protocol_of(n // 2).received
-    ] == [(e.src, e.dst, e.bit) for e in cached.simulator.protocol_of(n // 2).received]
-    return {
-        "n": n,
-        "steps": steps,
-        "uncached_s": uncached_s,
-        "cached_s": cached_s,
-        "speedup": uncached_s / cached_s if cached_s > 0 else float("inf"),
-        "uncached_steps_per_sec": steps / uncached_s,
-        "cached_steps_per_sec": steps / cached_s,
-        "trace_identical": trace_identical,
-        "bits_identical": bits_identical,
-        "stats": cached.simulator.stats.as_dict(),
-    }
-
-
-def geometry_cache_probe(n: int = 32, repeats: int = 200) -> Dict:
-    """Hit rate of the epoch geometry cache on a static configuration."""
-    from repro.apps.harness import ring_positions
-    from repro.model.robot import Robot
-    from repro.model.simulator import Simulator
-    from repro.protocols.sync_granular import SyncGranularProtocol
-
-    robots = [
-        Robot(position=p, protocol=SyncGranularProtocol(), sigma=4.0, observable_id=i)
-        for i, p in enumerate(ring_positions(n, radius=10.0, jitter=0.06))
-    ]
-    sim = Simulator(robots)
-    started = time.perf_counter()
-    for _ in range(repeats):
-        sim.geometry.sec()
-        sim.geometry.voronoi()
-        sim.geometry.hull()
-    elapsed = time.perf_counter() - started
-    stats = sim.stats.as_dict()
-    return {
-        "n": n,
-        "repeats": repeats,
-        "elapsed_s": elapsed,
-        "cache_hits": stats["cache_hits"],
-        "cache_misses": stats["cache_misses"],
-        "hit_rate": stats["hit_rate"],
-    }
-
-
-def batch_scaling_probe(
-    sizes: Tuple[int, ...] = (1_000,), compare_n: int = 64
-) -> Dict:
-    """Robots/second of the vectorized backend at large swarm sizes.
-
-    Each cell drives a ``BatchSimulator`` (kernel mode, strided trace)
-    with one active sender and reports build time, run time and
-    robots/second.  ``compare_n`` additionally runs the *same* swarm on
-    both backends, checks the final configurations are bit-identical,
-    and reports the batch/scalar speedup — the number the order-of-
-    magnitude claim in docs/PERFORMANCE.md rests on.
-
-    Skips cleanly (no failure) on a numpy-free interpreter.
-    """
-    import repro.batch
-
-    if not repro.batch.available():
-        return {"skipped": True, "backend": "scalar", "reason": repro.batch.NUMPY_HINT}
-
-    from repro.batch.engine import BatchSimulator
-    from repro.model.simulator import Simulator
-    from repro.model.trace import TracePolicy
-
-    from benchmarks.support import batch_swarm
-
-    # Keyed by size (not a list) so every cell's robots_per_sec
-    # flattens into the metrics history as cells.n10000.robots_per_sec.
-    cells_out: Dict[str, Dict] = {}
-    for n in sizes:
-        steps = 400 if n <= 1_000 else (200 if n <= 10_000 else 100)
-        started = time.perf_counter()
-        sim = BatchSimulator(batch_swarm(n), trace_policy=TracePolicy(stride=1_000))
-        build_s = time.perf_counter() - started
-        sim.protocol_of(0).send_bits(1, [1, 0, 1, 1])
-        started = time.perf_counter()
-        sim.run(steps)
-        run_s = time.perf_counter() - started
-        cells_out[f"n{n}"] = {
-            "n": n,
-            "mode": sim.mode,
-            "steps": steps,
-            "build_s": build_s,
-            "run_s": run_s,
-            "robots_per_sec": n * steps / run_s if run_s > 0 else float("inf"),
-            "delivered": len(sim.protocol_of(1).received),
-        }
-
-    compare_steps = 30
-
-    def timed(cls):
-        sim = cls(batch_swarm(compare_n))
-        sim.protocol_of(0).send_bits(1, [1, 0, 1])
-        started = time.perf_counter()
-        sim.run(compare_steps)
-        return sim, time.perf_counter() - started
-
-    scalar_sim, scalar_s = timed(Simulator)
-    batch_sim, batch_s = timed(BatchSimulator)
-    comparison = {
-        "n": compare_n,
-        "steps": compare_steps,
-        "scalar_robots_per_sec": compare_n * compare_steps / scalar_s,
-        "batch_robots_per_sec": compare_n * compare_steps / batch_s,
-        "speedup": scalar_s / batch_s if batch_s > 0 else float("inf"),
-        "traces_identical": tuple(scalar_sim.positions) == tuple(batch_sim.positions)
-        and scalar_sim.protocol_of(1).received == batch_sim.protocol_of(1).received,
-    }
-    return {"backend": "batch", "cells": cells_out, "comparison": comparison}
-
-
-def event_sparse_probe(n: int = 10_000, events: int = 30_000) -> Dict:
-    """Event-engine throughput at 1% duty (see bench_event_sparse).
-
-    Pure python — unlike the batch probes there is nothing to skip;
-    the events/sec series lands in the metrics history and the
-    ``python -m repro.obs regress`` gate watches it.
-    """
-    from benchmarks.bench_event_sparse import sparse_probe
-
-    return sparse_probe(n=n, events=events)
-
-
-def serve_load_probe(sessions: int = 40, churn_sessions: int = 12) -> Dict:
-    """Serving-layer load + churn at campaign-probe size (bench_serve).
-
-    Pure python over the stdlib event loop.  The payload carries the
-    service's live metrics snapshot plus the churn verdicts, so the
-    history tracks sessions/sec, p99 step latency and the CRC-verified
-    restore count; ``crc_restore_identity`` doubles as an invariant.
-    The throughput run is request-traced, so the row also carries
-    ``queue_wait_p99_ms`` (server-side queueing attributed by the
-    tracer) and the ``slo_*`` attainment/burn metrics — the regress
-    gate watches objectives, not just raw latencies, from this entry
-    forward.
-    """
-    from benchmarks.bench_serve import serve_probe
-
-    return serve_probe(sessions=sessions, churn_sessions=churn_sessions)
-
-
-def git_commit() -> Optional[str]:
-    """The repo's current commit hash, or None outside a git checkout."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=str(pathlib.Path(__file__).resolve().parent),
-        )
-    except Exception:  # pragma: no cover - git missing entirely
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip() or None
-
-
 def obs_probe(path: str, n: int = 8, steps: int = 24) -> Dict:
     """Record an instrumented run and prove the recorder is invisible.
 
@@ -418,96 +211,6 @@ def obs_probe(path: str, n: int = 8, steps: int = 24) -> Dict:
     }
 
 
-def bit_latency_probe(seeds: int = 1) -> Dict:
-    """End-to-end bit latency histograms, per protocol x engine.
-
-    Drives two synchronous matrix cells instrumented with the obs
-    recorder — on the round engine *and* the event engine in
-    round-emulation mode — and exports the recorder's
-    ``bit_latency_instants`` histograms (observed encode -> implicit
-    ack, labeled protocol x scheduler x engine) as a metric ``series``.
-    :func:`registry_snapshot` merges the series into the run snapshot,
-    so the history ingests them as
-    ``bit_latency_instants{...}.count/.sum/.mean``.
-    """
-    from repro.obs.recorder import ObsRecorder
-    from repro.verify.engine import drive
-    from repro.verify.scenarios import CELLS, build_run
-
-    series: List[Dict] = []
-    samples = 0
-    for key in (("sync_two", "synchronous"), ("async_n", "synchronous")):
-        cell = CELLS[key]
-        for engine in ("rounds", "events"):
-            for seed in range(seeds):
-                recorder = ObsRecorder(
-                    meta={
-                        "protocol": cell.protocol,
-                        "scheduler": cell.scheduler,
-                        "seed": seed,
-                    }
-                )
-                run = build_run(cell, seed, quick=True, engine=engine)
-                recorder.attach(run.sim)
-                try:
-                    drive(run)
-                finally:
-                    recorder.detach(run.sim)
-                for entry in recorder.registry.collect():
-                    if entry.get("name") == "bit_latency_instants":
-                        series.append(entry)
-                        samples += int(entry.get("count", 0))
-    return {
-        "cells": 2,
-        "engines": 2,
-        "histograms": len(series),
-        "latency_samples": samples,
-        "series": series,
-    }
-
-
-def registry_snapshot(probes: Dict, timings: Dict[str, float],
-                      invariants: Dict[str, bool]) -> List[Dict]:
-    """Fold the run's numbers into one MetricsRegistry snapshot.
-
-    Every numeric probe leaf becomes a gauge labeled by its probe,
-    every invariant verdict a 0/1 gauge — the canonical flat form the
-    metrics history ingests (``results["metrics"]``, schema v4).  A
-    probe may also return pre-labeled registry entries under a
-    ``"series"`` key (e.g. the bit-latency histograms); those are
-    merged into the snapshot verbatim, keeping their own labels.
-    """
-    from repro.obs.history import flatten_scalars
-    from repro.obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    collected: List[Dict] = []
-    for name, probe in probes.items():
-        if isinstance(probe, dict):
-            registry.absorb(flatten_scalars(probe), probe=name)
-            for entry in probe.get("series") or ():
-                if isinstance(entry, dict):
-                    collected.append(dict(entry))
-        registry.gauge("probe_elapsed_s", probe=name).set(timings.get(name, 0.0))
-    registry.absorb(flatten_scalars(invariants), check="invariant")
-    collected.extend(registry.collect())
-    # Deterministic order regardless of which probe contributed what.
-    collected.sort(
-        key=lambda e: (
-            str(e.get("name", "")),
-            sorted((k, str(v)) for k, v in (e.get("labels") or {}).items()),
-        )
-    )
-    return collected
-
-
-def append_history(results: Dict, path: str):
-    """Append this run's metrics to the longitudinal history file."""
-    from repro.obs.history import HistoryStore, entry_from_results
-
-    return HistoryStore(path).append(entry_from_results(results))
-
-
 def sync_invariant_holds() -> bool:
     """The paper's sync-granular cost: exactly 2 instants per bit."""
     from benchmarks.bench_p1_scaling import sync_steps_per_bit
@@ -518,12 +221,11 @@ def sync_invariant_holds() -> bool:
 def adversarial_transparency_probe(seeds: int = 2) -> Dict:
     """Caching transparency under *adversarial* schedules.
 
-    The throughput probe only exercises the benign synchronous
-    scheduler; this one sweeps the full ``repro.verify`` matrix —
-    bounded-unfair, burst, crash, worst-case-stale and displacement
-    adversaries — and requires every cell's caching on/off twin runs
-    to stay bit-identical (plus every protocol invariant the cell
-    declares).
+    Sweeps the full ``repro.verify`` matrix — the benign synchronous
+    scheduler plus the bounded-unfair, burst, crash, worst-case-stale
+    and displacement adversaries — and requires every cell's caching
+    on/off twin runs to stay bit-identical (plus every protocol
+    invariant the cell declares).
     """
     from repro.verify import run_matrix as verify_matrix
 
@@ -539,75 +241,44 @@ def adversarial_transparency_probe(seeds: int = 2) -> Dict:
     }
 
 
-#: probe registry: cell name -> zero-arg runner.  The lambdas resolve
-#: the probe functions through module globals at call time, so tests
-#: (and users) can monkeypatch ``run_all.throughput_probe`` etc. and
-#: still route through the campaign engine.
-PROBES: Dict[str, object] = {
-    "sync_throughput_n64": lambda: throughput_probe(n=64, steps=40),
-    "geometry_cache": lambda: geometry_cache_probe(),
-    "adversarial_transparency": lambda: adversarial_transparency_probe(),
-    "batch_scaling_n1k": lambda: batch_scaling_probe(sizes=(1_000,), compare_n=64),
-    "batch_scaling_large": lambda: batch_scaling_probe(
-        sizes=(10_000, 100_000), compare_n=256
-    ),
-    "event_sparse_n10k": lambda: event_sparse_probe(),
-    "serve_load": lambda: serve_load_probe(),
-    "bit_latency": lambda: bit_latency_probe(),
-}
+def invariant_gate(obs_path: Optional[str] = None) -> Dict[str, bool]:
+    """Run every gate check inline; map each check to its verdict.
 
-#: probe cell order: registration order, which the report replays.
-_PROBE_ORDER = list(PROBES)
-
-#: probe cells excluded from ``--quick`` (CI smoke stays fast; the
-#: n=1k batch cell remains in quick so every backend is probed there).
-_SLOW_PROBES = {"batch_scaling_large"}
-
-
-def cells() -> List[str]:
-    """The campaign cells this module exposes: the perf probes."""
-    return sorted(PROBES)
-
-
-def run_cell(name: str) -> Dict:
-    """Execute one probe cell for the campaign engine."""
-    if name not in PROBES:
-        raise KeyError(f"no probe cell {name!r} (available: {sorted(PROBES)})")
-    return PROBES[name]()  # type: ignore[operator]
-
-
-def collect_probes(workers: int = 0,
-                   store_dir: Optional[str] = None,
-                   exclude: Optional[set] = None) -> Tuple[Dict, Dict[str, float]]:
-    """Run every probe as a campaign; return ``(payloads, timings)``.
-
-    ``payloads`` maps probe name to its result dict; a probe that
-    *raises* is recorded as ``{"ok": False, "error": ...}`` — it must
-    not take the driver (or the JSON report) down with it, but counts
-    as a failure :func:`main` turns into a nonzero exit.  ``timings``
-    maps probe name to its wall-clock seconds in the worker.
-    ``exclude`` drops probe cells by name (the quick profile uses it
-    to skip the large batch-scaling cells).
+    A check that raises is a violation: its traceback goes to stderr
+    and the remaining checks still run and report.
     """
-    from repro.campaign.spec import probe_cells
 
-    cells_to_run = [
-        cell for cell in probe_cells()
-        if not exclude or cell.params.get("cell") not in exclude
-    ]
-    probes: Dict = {}
-    timings: Dict[str, float] = {}
-    for outcome in _run_cells("run-all-probes", cells_to_run, workers, store_dir):
-        name = str(outcome.cell.params["cell"])
-        timings[name] = outcome.elapsed_s
-        if outcome.status == "ok":
-            probes[name] = outcome.payload
-        else:
-            probes[name] = {"ok": False, "error": outcome.error or outcome.status}
-    # replay in registration order (cells() sorts for hashing stability)
-    ordered = {n: probes[n] for n in _PROBE_ORDER if n in probes}
-    ordered.update(probes)
-    return ordered, timings
+    def adversarial() -> bool:
+        report = adversarial_transparency_probe()
+        print(
+            f"[adversarial_transparency: {report['runs']} runs, "
+            f"{report['failures']} failures]"
+        )
+        return bool(report["ok"])
+
+    def obs() -> bool:
+        report = obs_probe(obs_path)
+        print(
+            f"[obs: {report['events']} events, "
+            f"{len(report['metrics'])} metric series -> {report['path']}]"
+        )
+        return bool(report["transparent"])
+
+    checks: Dict[str, Callable[[], bool]] = {
+        "sync_granular_two_steps_per_bit": sync_invariant_holds,
+        "adversarial_transparency": adversarial,
+    }
+    if obs_path:
+        checks["obs_transparency"] = obs
+    verdicts: Dict[str, bool] = {}
+    for name, check in checks.items():
+        try:
+            verdicts[name] = bool(check())
+        except Exception as exc:
+            traceback.print_exc()
+            print(f"[check {name}: CRASHED — {exc!r}]", file=sys.stderr)
+            verdicts[name] = False
+    return verdicts
 
 
 # ----------------------------------------------------------------------
@@ -618,13 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke mode: perf probes + invariants only, no table matrix",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write machine-readable results (BENCH_results.json)",
+        help="the invariant gate only, no table matrix",
     )
     parser.add_argument(
         "--jobs",
@@ -645,54 +310,17 @@ def main(argv: Optional[List[str]] = None) -> int:
              "JSONL, and check the recorder changed nothing",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="campaign worker processes for the perf probes (0 = inline)",
-    )
-    parser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
-        help="persist the campaign result stores under DIR "
+        help="persist the table campaign's result store under DIR "
              "(default: throwaway; re-runs resume from a kept store)",
     )
-    parser.add_argument(
-        "--history",
-        metavar="PATH",
-        default=DEFAULT_HISTORY,
-        help="append this run's metrics to the longitudinal history "
-             f"(default {DEFAULT_HISTORY}; see python -m repro.obs regress)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the metrics-history append entirely",
-    )
     args = parser.parse_args(argv)
-    started = time.perf_counter()
-
-    import repro.batch
-
-    results: Dict = {
-        "schema": RESULTS_SCHEMA,
-        "version": RESULTS_VERSION,
-        "generated_by": "benchmarks/run_all.py",
-        "git_commit": git_commit(),
-        "mode": "quick" if args.quick else "full",
-        "python": sys.version.split()[0],
-        "workers": args.workers,
-        # the active simulation backend for the batch probes: regress
-        # baselines must never mix scalar-fallback and batch numbers.
-        "backend": "batch" if repro.batch.available() else "scalar",
-    }
-    table_store = os.path.join(args.store, "tables") if args.store else None
-    probe_store = os.path.join(args.store, "probes") if args.store else None
 
     failures = 0
     if not args.quick:
-        matrix = run_matrix(args.jobs, args.sequential, store_dir=table_store)
-        for entry in matrix:
+        for entry in run_matrix(args.jobs, args.sequential, store_dir=args.store):
             sys.stdout.write(entry["output"])
             if entry["ok"]:
                 print(f"[{entry['name']}: ok in {entry['elapsed_s']:.1f}s]")
@@ -702,134 +330,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"[{entry['name']}: FAILED — {entry['error']}]",
                     file=sys.stderr,
                 )
-        results["benchmarks"] = [
-            {k: entry[k] for k in ("name", "ok", "elapsed_s")} for entry in matrix
-        ]
 
-    probes, probe_timings = collect_probes(
-        workers=args.workers,
-        store_dir=probe_store,
-        exclude=_SLOW_PROBES if args.quick else None,
-    )
-    results["probes_elapsed_s"] = probe_timings
-    invariants = {
-        "sync_granular_two_steps_per_bit": sync_invariant_holds(),
-        "caching_trace_identical": bool(
-            probes["sync_throughput_n64"].get("trace_identical", False)
-        ),
-        "caching_bits_identical": bool(
-            probes["sync_throughput_n64"].get("bits_identical", False)
-        ),
-        "adversarial_transparency": bool(
-            probes["adversarial_transparency"].get("ok", False)
-        ),
-    }
-    if args.obs:
-        try:
-            obs = obs_probe(args.obs)
-        except Exception as exc:
-            obs = {"ok": False, "error": repr(exc)}
-        results["obs"] = obs
-        invariants["obs_transparency"] = bool(obs.get("transparent", False))
-        if "error" in obs:
-            failures += 1
-            print(f"[obs probe: CRASHED — {obs['error']}]", file=sys.stderr)
-        else:
-            print(
-                f"[obs: {obs['events']} events, "
-                f"{len(obs['metrics'])} metric series -> {obs['path']}]"
-            )
-
-    results["probes"] = probes
-    results["invariants"] = invariants
-
-    for name, probe in probes.items():
-        if "error" in probe:
-            failures += 1
-            print(f"[probe {name}: CRASHED — {probe['error']}]", file=sys.stderr)
-
-    throughput = probes["sync_throughput_n64"]
-    if "error" not in throughput:
-        print(
-            f"[probe sync_throughput n={throughput['n']}: "
-            f"uncached {throughput['uncached_s']:.3f}s, "
-            f"cached {throughput['cached_s']:.3f}s, "
-            f"speedup {throughput['speedup']:.2f}x, "
-            f"reuse {throughput['stats']['observation_reuse_rate']:.1%}]"
-        )
-    adversarial = probes["adversarial_transparency"]
-    if "error" not in adversarial:
-        print(
-            f"[probe adversarial_transparency: {adversarial['runs']} runs, "
-            f"{adversarial['failures']} failures]"
-        )
-    sparse = probes.get("event_sparse_n10k")
-    if sparse is not None and "error" not in sparse:
-        print(
-            f"[probe event_sparse n={sparse['n']}: "
-            f"{sparse['events_per_sec']:,.0f} events/s, "
-            f"duty {sparse['duty']:.2%}, heap max {sparse['heap_depth_max']:.0f}]"
-        )
-    serve = probes.get("serve_load")
-    if serve is not None and "error" not in serve:
-        print(
-            f"[probe serve_load: {serve['completed']} sessions "
-            f"(peak {serve['peak_concurrent']} live), "
-            f"{serve['sessions_per_sec']:.0f} sessions/s, "
-            f"p99 {serve['step_p99_ms']:.1f}ms "
-            f"(queue-wait p99 {serve.get('queue_wait_p99_ms', 0.0):.1f}ms), "
-            f"{serve['evictions']} evictions / "
-            f"{serve['crc_verified_restores']} CRC-verified restores, "
-            f"slo {'OK' if serve.get('slo_ok') else 'VIOLATED'}]"
-        )
-        invariants["serve_crc_restore_identity"] = bool(
-            serve.get("crc_restore_identity", False)
-        )
-    for name in ("batch_scaling_n1k", "batch_scaling_large"):
-        probe = probes.get(name)
-        if probe is None or "error" in probe:
-            continue
-        if probe.get("skipped"):
-            print(f"[probe {name}: skipped — scalar fallback (no numpy)]")
-            continue
-        for cell in probe["cells"].values():
-            print(
-                f"[probe {name} n={cell['n']}: {cell['robots_per_sec']:,.0f} "
-                f"robots/s over {cell['steps']} steps ({cell['mode']} mode)]"
-            )
-        comparison = probe["comparison"]
-        print(
-            f"[probe {name} scalar-vs-batch n={comparison['n']}: "
-            f"{comparison['speedup']:.1f}x, "
-            f"identical={comparison['traces_identical']}]"
-        )
-        invariants[f"{name}_traces_identical"] = bool(
-            comparison["traces_identical"]
-        )
-    for name, ok in invariants.items():
+    for name, ok in invariant_gate(args.obs).items():
         print(f"[invariant {name}: {'ok' if ok else 'VIOLATED'}]")
         if not ok:
             failures += 1
-
-    results["elapsed_s"] = time.perf_counter() - started
-    results["metrics"] = registry_snapshot(probes, probe_timings, invariants)
-    if args.json:
-        path = pathlib.Path(args.json)
-        path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {path}]")
-
-    if not args.no_history:
-        try:
-            entry = append_history(results, args.history)
-        except Exception as exc:
-            failures += 1
-            print(f"[history append FAILED — {exc!r}]", file=sys.stderr)
-        else:
-            print(
-                f"[history: entry #{entry.seq} "
-                f"({len(entry.metrics)} metrics) -> {args.history}]"
-            )
-
     return 1 if failures else 0
 
 

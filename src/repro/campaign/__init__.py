@@ -31,7 +31,6 @@ from repro.campaign.spec import (
     bench_cells,
     load_spec,
     parse_spec,
-    probe_cells,
     verify_cells,
 )
 from repro.campaign.store import CellRecord, ResultStore
@@ -46,7 +45,6 @@ __all__ = [
     "bench_cells",
     "load_spec",
     "parse_spec",
-    "probe_cells",
     "run_campaign",
     "verify_cells",
 ]

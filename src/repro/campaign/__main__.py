@@ -10,8 +10,8 @@ Examples::
     python -m repro.campaign run --verify --seeds 10 --workers 4 \\
         --store .campaigns/verify-sweep --resume
 
-    # the benchmark probes as a campaign (what run_all --quick uses)
-    python -m repro.campaign run --probes --store .campaigns/probes
+    # every benchmark table as a campaign (what run_all uses)
+    python -m repro.campaign run --bench --store .campaigns/tables
 
     # inspect / compare
     python -m repro.campaign status .campaigns/verify-sweep
@@ -39,7 +39,6 @@ from repro.campaign.spec import (
     CampaignSpec,
     bench_cells,
     load_spec,
-    probe_cells,
     verify_cells,
 )
 from repro.campaign.store import ResultStore
@@ -70,16 +69,13 @@ def _build_spec(args: argparse.Namespace) -> CampaignSpec:
                 )
             )
             name_parts.append("verify")
-        if args.probes:
-            cells.extend(probe_cells())
-            name_parts.append("probes")
         if args.bench:
             cells.extend(bench_cells())
             name_parts.append("bench")
         if not cells:
             raise ReproError(
                 "nothing to run: pass --spec FILE or one of "
-                "--verify/--probes/--bench"
+                "--verify/--bench"
             )
         spec = CampaignSpec(name=args.name or "-".join(name_parts), cells=cells)
     if args.timeout is not None:
@@ -184,8 +180,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--spec", metavar="FILE", help="JSON campaign spec file")
     run.add_argument("--verify", action="store_true",
                      help="add the repro.verify matrix cells")
-    run.add_argument("--probes", action="store_true",
-                     help="add the benchmark perf/invariant probes")
     run.add_argument("--bench", action="store_true",
                      help="add every benchmark table cell")
     run.add_argument("--name", default=None, help="campaign name override")

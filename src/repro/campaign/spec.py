@@ -1,8 +1,8 @@
 """Declarative campaign specs and their deterministic cell expansion.
 
 A *campaign* is a declarative description of a parameter sweep —
-verification cells over the protocol x adversary matrix, benchmark
-tables, or the perf probes — expanded into a flat, deterministic list
+verification cells over the protocol x adversary matrix, or benchmark
+tables — expanded into a flat, deterministic list
 of :class:`CellSpec` work items.  Every cell carries a **stable
 content hash** (:meth:`CellSpec.cell_id`): the SHA-256 of its
 canonical ``(kind, params)`` JSON.  The hash is the key of the result
@@ -28,7 +28,6 @@ Spec files
       "cells": [
         {"generate": "verify", "protocols": ["sync_granular"],
          "seeds": 10, "quick": false},
-        {"generate": "probes"},
         {"generate": "bench"},
         {"kind": "verify",
          "params": {"protocol": "sync_two", "scheduler": "synchronous",
@@ -57,7 +56,6 @@ __all__ = [
     "canonical_json",
     "verify_cells",
     "bench_cells",
-    "probe_cells",
     "parse_spec",
     "load_spec",
 ]
@@ -67,8 +65,8 @@ SPEC_SCHEMA = "repro-campaign"
 #: bump when a consumer-visible key changes shape.
 SPEC_VERSION = 1
 
-#: the module whose ``cells()`` registry holds the perf probes.
-_PROBE_MODULE = "benchmarks.run_all"
+#: the experiment driver, whose ``MODULES`` list is the table matrix.
+_RUN_ALL_MODULE = "benchmarks.run_all"
 
 
 def canonical_json(value: object) -> str:
@@ -266,7 +264,7 @@ def bench_cells(modules: Optional[Sequence[str]] = None) -> List[CellSpec]:
     if modules is None:
         import importlib
 
-        run_all = importlib.import_module(_PROBE_MODULE)
+        run_all = importlib.import_module(_RUN_ALL_MODULE)
         modules = [m.__name__ for m in run_all.MODULES]
     out: List[CellSpec] = []
     for name in modules:
@@ -274,16 +272,11 @@ def bench_cells(modules: Optional[Sequence[str]] = None) -> List[CellSpec]:
     return out
 
 
-def probe_cells() -> List[CellSpec]:
-    """Campaign cells for the ``run_all`` perf/invariant probes."""
-    return _module_cells(_PROBE_MODULE)
-
-
 # ----------------------------------------------------------------------
 # Spec file parsing
 # ----------------------------------------------------------------------
 
-_GENERATORS = {"verify", "bench", "probes"}
+_GENERATORS = {"verify", "bench"}
 
 
 def _expand_entry(entry: Dict[str, object]) -> List[CellSpec]:
@@ -300,8 +293,6 @@ def _expand_entry(entry: Dict[str, object]) -> List[CellSpec]:
             )
         if kind == "bench":
             return bench_cells(entry.get("modules"))
-        if kind == "probes":
-            return probe_cells()
         raise CampaignError(
             f"unknown generator {kind!r} (choose from {sorted(_GENERATORS)})"
         )

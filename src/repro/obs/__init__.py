@@ -24,8 +24,8 @@ subpackage makes runs observable without changing them:
   (see :mod:`repro.obs.report`).
 * :mod:`repro.obs.history` — the *longitudinal* layer: an append-only
   git-commit-stamped metrics history (``BENCH_history.jsonl``),
-  ingest adapters for bench results / campaign stores / registry
-  snapshots, and median+MAD regression gating
+  ingest adapters for campaign stores and registry snapshots, and
+  median+MAD regression gating
   (``python -m repro.obs regress``).
 * :mod:`repro.obs.profiler` — deterministic self/total-time hotspot
   tables over phase and bit spans (``python -m repro.obs hotspots``).
@@ -85,8 +85,6 @@ from repro.obs.history import (
     RegressPolicy,
     detect,
     entry_from_campaign,
-    entry_from_registry,
-    entry_from_results,
     render_regressions,
 )
 from repro.obs.profiler import flow_hotspots, phase_hotspots, render_hotspots
@@ -106,8 +104,6 @@ __all__ = [
     "diff_runs",
     "diff_history_entries",
     "entry_from_campaign",
-    "entry_from_registry",
-    "entry_from_results",
     "render_regressions",
     "render_hotspots",
     "render_diff",

@@ -1,16 +1,16 @@
 """Longitudinal observability: metrics history across runs.
 
-A single run's numbers die with the run — ``BENCH_results.json`` is
-overwritten, a campaign store is keyed by cell hash with no time axis.
-This subpackage gives every measurement a *history*:
+A single run's numbers die with the run — a campaign store is keyed
+by cell hash with no time axis.  This subpackage gives every
+measurement a *history*:
 
 * :mod:`repro.obs.history.store` — an append-only, git-commit-stamped
   JSONL history (``BENCH_history.jsonl``) with a derived SQLite index,
   following the campaign ``ResultStore`` journal/fsync discipline.
-* :mod:`repro.obs.history.ingest` — adapters that turn
-  ``benchmarks/run_all.py --json`` payloads, campaign result stores,
-  and :class:`~repro.obs.registry.MetricsRegistry` snapshots into
-  history entries with one flat ``metric -> value`` vocabulary.
+* :mod:`repro.obs.history.ingest` — adapters that turn campaign
+  result stores (``python -m repro.campaign export-history``) and
+  :class:`~repro.obs.registry.MetricsRegistry` snapshots into one flat
+  ``metric -> value`` vocabulary.
 * :mod:`repro.obs.history.regress` — per-metric rolling
   median-plus-MAD baselines with direction-of-goodness, exposed as
   ``python -m repro.obs regress`` in report-only and gating modes.
@@ -18,9 +18,6 @@ This subpackage gives every measurement a *history*:
 
 from repro.obs.history.ingest import (
     entry_from_campaign,
-    entry_from_registry,
-    entry_from_results,
-    flatten_scalars,
     metrics_from_snapshot,
 )
 from repro.obs.history.regress import (
@@ -45,9 +42,6 @@ __all__ = [
     "HistoryEntry",
     "HistoryStore",
     "entry_from_campaign",
-    "entry_from_registry",
-    "entry_from_results",
-    "flatten_scalars",
     "metrics_from_snapshot",
     "Finding",
     "RegressPolicy",

@@ -1,15 +1,14 @@
 """Adapters: every measurement source becomes one history vocabulary.
 
-Three producers feed the history:
+* :func:`entry_from_campaign` turns a campaign
+  :class:`~repro.campaign.store.ResultStore` directory into a history
+  entry (``python -m repro.campaign export-history``);
+* :func:`metrics_from_snapshot` flattens a
+  :class:`~repro.obs.registry.MetricsRegistry` snapshot (any
+  instrumented run; ``python -m repro.obs diff`` compares two).
 
-* ``benchmarks/run_all.py --json`` payloads (the bench driver);
-* campaign :class:`~repro.campaign.store.ResultStore` directories
-  (sharded experiment sweeps);
-* raw :class:`~repro.obs.registry.MetricsRegistry` snapshots (any
-  instrumented run).
-
-All three land in the same flat ``metric name -> number`` mapping so
-the regression detector and the differ never care where a number came
+Both yield the same flat ``metric name -> number`` mapping so the
+regression detector and the differ never care where a number came
 from.  Labeled registry series use the ``name{key=value,...}``
 convention — deterministic (labels sorted), parse-free (the name is
 the identity), and grep-friendly.
@@ -22,33 +21,9 @@ from typing import Dict, Iterable, Mapping, Optional
 from repro.obs.history.store import HistoryEntry
 
 __all__ = [
-    "flatten_scalars",
     "metrics_from_snapshot",
-    "entry_from_results",
-    "entry_from_registry",
     "entry_from_campaign",
 ]
-
-
-def flatten_scalars(
-    doc: Mapping[str, object], prefix: str = ""
-) -> Dict[str, float]:
-    """Numeric/boolean leaves of a nested dict, with dotted keys.
-
-    Strings, lists, and None are skipped — the history carries
-    *measurements*, not payload prose.  Booleans become 0/1 so
-    invariant verdicts are chartable and gateable.
-    """
-    out: Dict[str, float] = {}
-    for key, value in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, bool):
-            out[name] = 1.0 if value else 0.0
-        elif isinstance(value, (int, float)):
-            out[name] = float(value)
-        elif isinstance(value, Mapping):
-            out.update(flatten_scalars(value, prefix=f"{name}."))
-    return out
 
 
 def _labeled_name(name: str, labels: Optional[Mapping[str, object]]) -> str:
@@ -83,65 +58,6 @@ def metrics_from_snapshot(
             elif isinstance(value, (int, float)):
                 out[name] = float(value)
     return out
-
-
-def entry_from_results(
-    results: Mapping[str, object], run_id: Optional[str] = None
-) -> HistoryEntry:
-    """A history entry from a ``run_all.py --json`` payload.
-
-    Prefers the payload's embedded registry snapshot
-    (``results["metrics"]``, schema v4+); older payloads fall back to
-    flattening the probe/invariant blocks directly, so pre-history
-    ``BENCH_results.json`` files can be backfilled.
-    """
-    metrics: Dict[str, float] = {}
-    snapshot = results.get("metrics")
-    if isinstance(snapshot, list):
-        metrics.update(metrics_from_snapshot(snapshot))
-    else:
-        for block, prefix in (
-            ("probes", "probe."),
-            ("invariants", "invariant."),
-            ("probes_elapsed_s", "probe_elapsed_s."),
-        ):
-            value = results.get(block)
-            if isinstance(value, Mapping):
-                metrics.update(flatten_scalars(value, prefix=prefix))
-        elapsed = results.get("elapsed_s")
-        if isinstance(elapsed, (int, float)):
-            metrics["elapsed_s"] = float(elapsed)
-    mode = results.get("mode", "full")
-    return HistoryEntry(
-        source="run_all",
-        run_id=run_id or f"run_all-{mode}",
-        metrics=metrics,
-        meta={
-            key: results[key]
-            # "backend" (v4+) records which simulation backend produced
-            # the batch probes, so baselines never mix scalar-fallback
-            # and vectorized numbers.
-            for key in ("schema", "version", "mode", "python", "workers", "backend")
-            if key in results
-        },
-        git_commit=results.get("git_commit"),  # type: ignore[arg-type]
-    )
-
-
-def entry_from_registry(
-    registry,
-    run_id: str,
-    meta: Optional[Mapping[str, object]] = None,
-    git_commit: Optional[str] = None,
-) -> HistoryEntry:
-    """A history entry from a live :class:`MetricsRegistry`."""
-    return HistoryEntry(
-        source="registry",
-        run_id=run_id,
-        metrics=metrics_from_snapshot(registry.collect()),
-        meta=dict(meta or {}),
-        git_commit=git_commit,
-    )
 
 
 def _cell_label(kind: str, params: Mapping[str, object]) -> str:

@@ -360,10 +360,6 @@ class RequestTracer:
             ).observe(total)
         return trace
 
-    def span_percentile(self, span: str, q: float) -> float:
-        """Rolling percentile of one span's window (seconds)."""
-        return self.spans.percentile(span, "*", q)
-
     def telemetry(self) -> Dict[str, object]:
         """The live dashboard payload (the ``telemetry`` wire op)."""
         return {

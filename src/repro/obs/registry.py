@@ -16,7 +16,7 @@ Design constraints, in order:
   instance; the hot perf counters (:class:`repro.perf.counters.
   PerfStats`) delegate here without measurable regression.
 * **JSON-first.**  ``collect()`` returns plain dicts/lists ready for
-  ``BENCH_results.json`` and the obs JSONL export.
+  the obs JSONL export and the metrics history.
 """
 
 from __future__ import annotations

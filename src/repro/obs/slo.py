@@ -14,9 +14,8 @@ answers, at any instant:
 
 Everything is windowed (bounded deques), deterministic (no clock
 reads — latencies arrive as measured values) and JSON-first, so the
-serving bench can export attainment straight into
-``BENCH_history.jsonl`` and the ``/healthz`` endpoint can gate on
-:meth:`SLOTracker.all_ok`.
+``telemetry`` verb can report attainment and the ``/healthz``
+endpoint can gate on :meth:`SLOTracker.all_ok`.
 
 Objectives are declarative data: :func:`slos_from_json` /
 :meth:`SLO.to_json` round-trip a config document, and
@@ -205,13 +204,3 @@ class SLOTracker:
     def all_ok(self) -> bool:
         """Every objective currently attained (the ``/healthz`` verdict)."""
         return all(row["ok"] for row in self.status())
-
-    def as_metrics(self) -> Dict[str, float]:
-        """Flat ``name -> value`` pairs for the history/bench export."""
-        out: Dict[str, float] = {}
-        for row in self.status():
-            key = str(row["name"]).replace("-", "_")
-            out[f"slo_{key}_attainment"] = float(row["attainment"])  # type: ignore[arg-type]
-            out[f"slo_{key}_burn"] = float(row["burn"])  # type: ignore[arg-type]
-        out["slo_ok"] = 1.0 if self.all_ok() else 0.0
-        return out

@@ -11,8 +11,10 @@ loop and a (optionally multi-process) worker pool:
   watermark backpressure, LRU eviction through the campaign store,
 * :mod:`repro.serve.client` / :mod:`repro.serve.net` — the in-process
   and TCP JSONL front ends (identical verb set); the TCP port also
-  answers ``GET /metrics`` (Prometheus text) and ``GET /healthz``,
-* :mod:`repro.serve.bench` — the seeded open-loop load generator.
+  answers ``GET /metrics`` (Prometheus text) and ``GET /healthz``.
+
+The service's speed is measured by the repo benchmark
+(``perfbench/run.py``, workloads ``serve_mix`` and ``serve_churn``).
 
 Wire a :class:`~repro.obs.live.RequestTracer` into the manager
 (``SessionManager(..., tracer=RequestTracer())``) and every request

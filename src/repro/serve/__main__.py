@@ -1,8 +1,6 @@
-"""``python -m repro.serve`` — serve, bench, status, smoke.
+"""``python -m repro.serve`` — serve, status, smoke.
 
 * ``serve``  — run the TCP JSONL front end until interrupted.
-* ``bench``  — the seeded open-loop load generator
-  (:mod:`repro.serve.bench`); ``--quick`` is the CI acceptance run.
 * ``status`` — one ``stats``/``healthz``/``telemetry`` round-trip
   against a running service (``--op``).
 * ``smoke``  — boot an in-process service, drive N sessions across
@@ -65,22 +63,6 @@ def _cmd_status(args) -> int:
     )
     print(json.dumps(reply, indent=2, sort_keys=True))
     return 0 if reply.get("ok") else 1
-
-
-def _cmd_bench(args) -> int:
-    from repro.serve.bench import main as bench_main
-
-    argv: List[str] = []
-    if args.quick:
-        argv.append("--quick")
-    if args.sessions is not None:
-        argv.extend(["--sessions", str(args.sessions)])
-    if args.workers:
-        argv.extend(["--workers", str(args.workers)])
-    if args.history:
-        argv.extend(["--history", args.history])
-    argv.extend(["--seed", str(args.seed)])
-    return bench_main(argv)
 
 
 async def _scrape_endpoints(port: int, out_path: str) -> bool:
@@ -223,14 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           choices=("stats", "healthz", "telemetry"),
                           help="which status verb to round-trip")
     p_status.set_defaults(func=_cmd_status)
-
-    p_bench = sub.add_parser("bench", help="seeded open-loop load generator")
-    p_bench.add_argument("--quick", action="store_true")
-    p_bench.add_argument("--sessions", type=int, default=None)
-    p_bench.add_argument("--workers", type=int, default=0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--history", default=None)
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_smoke = sub.add_parser("smoke", help="short all-apps service exercise")
     p_smoke.add_argument("--sessions", type=int, default=50)

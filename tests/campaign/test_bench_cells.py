@@ -1,9 +1,9 @@
 """Benchmark modules as campaign cells: the cells()/run_cell() pair.
 
-Every ``bench_*.py`` module (and ``run_all`` itself, for the perf
-probes) must expose the import-based ``cells()``/``run_cell(name)``
-protocol from ``benchmarks.support.table_cells`` — the campaign
-engine never ``exec``s a benchmark script.
+Every ``bench_*.py`` module registered in ``run_all.MODULES`` must
+expose the import-based ``cells()``/``run_cell(name)`` protocol from
+``benchmarks.support.table_cells`` — the campaign engine never
+``exec``s a benchmark script.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class TestModuleProtocol:
             # Every module regenerates its table; parametrized modules
             # expose additional name[key=value] cells alongside it.
             assert "table" in module.cells(), module.__name__
-
-    def test_run_all_exposes_the_probe_cells(self):
-        assert run_all.cells() == sorted(run_all.PROBES)
-        with pytest.raises(KeyError, match="no probe cell"):
-            run_all.run_cell("nonsense")
 
     def test_table_cell_regenerates_the_experiment(self):
         """One cheap end-to-end table: Figure 1 through the executor."""
@@ -109,57 +104,3 @@ class TestTableCellsFactory:
                 ("a", lambda: {}),
             )
 
-
-class TestCollectProbes:
-    def _stub_probes(self, monkeypatch):
-        monkeypatch.setattr(
-            run_all, "throughput_probe",
-            lambda n=64, steps=40: {"n": n, "stub": True},
-        )
-        monkeypatch.setattr(
-            run_all, "geometry_cache_probe", lambda: {"stub": True}
-        )
-        monkeypatch.setattr(
-            run_all, "adversarial_transparency_probe",
-            lambda: {"ok": True, "stub": True},
-        )
-        monkeypatch.setattr(
-            run_all, "event_sparse_probe",
-            lambda n=10_000, events=30_000: {"n": n, "stub": True},
-        )
-
-    def test_probes_route_through_the_campaign_engine(
-        self, monkeypatch, tmp_path
-    ):
-        """Monkeypatched probes still reach the inline executor."""
-        self._stub_probes(monkeypatch)
-        probes, timings = run_all.collect_probes()
-        assert set(probes) == set(run_all.PROBES)
-        assert probes["sync_throughput_n64"] == {"n": 64, "stub": True}
-        assert set(timings) == set(run_all.PROBES)
-        assert all(t >= 0.0 for t in timings.values())
-
-    def test_crashing_probe_is_reported_not_raised(self, monkeypatch):
-        self._stub_probes(monkeypatch)
-
-        def boom():
-            raise RuntimeError("probe exploded")
-
-        monkeypatch.setattr(run_all, "geometry_cache_probe", boom)
-        probes, _ = run_all.collect_probes()
-        assert probes["geometry_cache"]["ok"] is False
-        assert "probe exploded" in probes["geometry_cache"]["error"]
-
-    def test_persistent_store_resumes(self, monkeypatch, tmp_path):
-        self._stub_probes(monkeypatch)
-        store = str(tmp_path / "probes")
-        first, _ = run_all.collect_probes(store_dir=store)
-
-        def never():
-            raise AssertionError("resumed store must not re-execute")
-
-        monkeypatch.setattr(run_all, "geometry_cache_probe", never)
-        monkeypatch.setattr(run_all, "throughput_probe", never)
-        monkeypatch.setattr(run_all, "adversarial_transparency_probe", never)
-        second, _ = run_all.collect_probes(store_dir=store)
-        assert first == second

@@ -12,7 +12,6 @@ from repro.campaign.spec import (
     bench_cells,
     load_spec,
     parse_spec,
-    probe_cells,
     verify_cells,
 )
 from repro.errors import CampaignError
@@ -113,12 +112,6 @@ class TestGenerators:
                              schedulers=["synchronous"], seeds=1, repeats=3)
         assert len({c.cell_id() for c in cells}) == len(cells) == 3
 
-    def test_probe_cells_cover_the_run_all_registry(self):
-        import benchmarks.run_all as run_all
-
-        names = {c.params["cell"] for c in probe_cells()}
-        assert names == set(run_all.PROBES)
-
     def test_bench_cells_cover_every_module(self):
         import benchmarks.run_all as run_all
 
@@ -163,6 +156,13 @@ class TestSpecFiles:
     def test_unknown_generator_rejected(self):
         with pytest.raises(CampaignError, match="unknown generator"):
             parse_spec({"name": "x", "cells": [{"generate": "nonsense"}]})
+
+    def test_retired_probes_generator_is_rejected(self):
+        """``generate: probes`` is refused; the error names the generators."""
+        with pytest.raises(
+            CampaignError, match=r"unknown generator 'probes'.*\['bench', 'verify'\]"
+        ):
+            parse_spec({"name": "x", "cells": [{"generate": "probes"}]})
 
     def test_malformed_entries_rejected(self):
         with pytest.raises(CampaignError, match="needs 'kind' and 'params'"):

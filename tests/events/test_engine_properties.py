@@ -184,6 +184,18 @@ class TestMetrics:
         assert snapshot["event_phase_latency{phase=look}.count"] == by_phase["look"]
         assert snapshot["event_activation_gap.count"] > 0
 
+    def test_sparse_swarm_stays_sparse_with_a_bounded_heap(self):
+        """The 1%-duty recipe of the ``sparse_n10k`` benchmark, at n=2,000."""
+        from benchmarks.bench_event_sparse import sparse_probe
+
+        row = sparse_probe(n=2_000, events=6_000)
+        # step() can overshoot the requested events by one move batch
+        assert row["events"] >= 6_000
+        assert 0.001 < row["duty"] < 0.05
+        # Heap depth stays O(n): one pending event per robot (plus the
+        # in-flight batch), never an event explosion.
+        assert row["heap_depth_max"] <= 2_000 + 10
+
 
 class TestEngineExposure:
     def test_make_simulator_routes_to_the_event_engine(self):

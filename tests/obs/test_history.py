@@ -13,9 +13,6 @@ from repro.obs.history import (
     HistoryEntry,
     HistoryStore,
     entry_from_campaign,
-    entry_from_registry,
-    entry_from_results,
-    flatten_scalars,
     metrics_from_snapshot,
 )
 from repro.obs.registry import MetricsRegistry
@@ -134,12 +131,6 @@ class TestGzipStore:
 
 
 class TestFlatten:
-    def test_numeric_and_boolean_leaves_only(self):
-        flat = flatten_scalars(
-            {"a": 1, "b": {"c": 2.5, "ok": True}, "s": "skip", "l": [1, 2]}
-        )
-        assert flat == {"a": 1.0, "b.c": 2.5, "b.ok": 1.0}
-
     def test_snapshot_metrics_carry_sorted_labels(self):
         registry = MetricsRegistry()
         registry.counter("bits", scheduler="sync", protocol="p").inc(3)
@@ -150,47 +141,6 @@ class TestFlatten:
         assert flat["lat.count"] == 2.0
         assert flat["lat.sum"] == 2.0
         assert flat["lat.mean"] == 1.0
-
-
-class TestIngest:
-    def test_entry_from_v4_results_uses_the_registry_snapshot(self):
-        results = {
-            "schema": "repro-bench-results",
-            "version": 4,
-            "mode": "quick",
-            "git_commit": "abc123",
-            "metrics": [
-                {"name": "cached_s", "labels": {"probe": "t"},
-                 "type": "gauge", "value": 0.5},
-            ],
-        }
-        entry = entry_from_results(results)
-        assert entry.metrics == {"cached_s{probe=t}": 0.5}
-        assert entry.git_commit == "abc123"
-        assert entry.run_id == "run_all-quick"
-        assert entry.meta["version"] == 4
-
-    def test_entry_from_legacy_results_flattens_probe_blocks(self):
-        results = {
-            "mode": "quick",
-            "elapsed_s": 2.0,
-            "probes": {"t": {"cached_s": 0.5, "output": "text"}},
-            "invariants": {"good": True},
-        }
-        entry = entry_from_results(results)
-        assert entry.metrics == {
-            "probe.t.cached_s": 0.5,
-            "invariant.good": 1.0,
-            "elapsed_s": 2.0,
-        }
-
-    def test_entry_from_registry(self):
-        registry = MetricsRegistry()
-        registry.gauge("epoch").set(7)
-        entry = entry_from_registry(registry, run_id="r1", meta={"n": 4})
-        assert entry.source == "registry"
-        assert entry.metrics == {"epoch": 7.0}
-        assert entry.meta == {"n": 4}
 
 
 def _selftest_spec(tmp_path, behaviors):

@@ -129,7 +129,7 @@ class TestRequestTracer:
         trace = tracer.start("step", app="chat")
         trace.add_span("queue-wait", 0.0, 0.25)
         tracer.finish(trace)
-        assert tracer.span_percentile("queue-wait", 99) == pytest.approx(0.25)
+        assert tracer.spans.percentile("queue-wait", "*", 99) == pytest.approx(0.25)
 
     def test_telemetry_shape(self):
         tracer = RequestTracer()

@@ -204,3 +204,49 @@ class TestPerfAbsorption:
         names = {entry["name"] for entry in run.metrics}
         assert "perf_cache_hits" in names
         assert "perf_hit_rate" in names
+
+
+class TestBitLatencyAcrossEngines:
+    """The recorder's bit-latency histogram is engine-independent.
+
+    The same two synchronous matrix cells are driven on the round
+    engine and on the event engine in round-emulation mode; the
+    ``bit_latency_instants`` histograms (observed encode -> implicit
+    ack, labeled protocol x scheduler x engine) must agree exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        from repro.verify.engine import drive
+        from repro.verify.scenarios import CELLS, build_run
+
+        out = {}
+        for key in (("sync_two", "synchronous"), ("async_n", "synchronous")):
+            cell = CELLS[key]
+            for engine in ("rounds", "events"):
+                recorder = ObsRecorder(
+                    meta={"protocol": cell.protocol, "scheduler": cell.scheduler}
+                )
+                run = build_run(cell, 0, quick=True, engine=engine)
+                recorder.attach(run.sim)
+                try:
+                    drive(run)
+                finally:
+                    recorder.detach(run.sim)
+                for entry in recorder.registry.collect():
+                    if entry["name"] == "bit_latency_instants":
+                        labels = entry["labels"]
+                        out[(labels["protocol"], labels["engine"])] = entry
+        return out
+
+    def test_both_engines_record_bit_latency(self, series):
+        for protocol in ("sync_two", "async_n"):
+            for engine in ("rounds", "events"):
+                assert series[(protocol, engine)]["count"] > 0
+
+    def test_engines_agree_on_the_measured_latency(self, series):
+        for protocol in ("sync_two", "async_n"):
+            rounds = series[(protocol, "rounds")]
+            events = series[(protocol, "events")]
+            assert rounds["count"] == events["count"]
+            assert rounds["sum"] == pytest.approx(events["sum"])

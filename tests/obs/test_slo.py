@@ -101,7 +101,6 @@ class TestSLOTracker:
         rows = tracker.status()
         assert [row["name"] for row in rows] == ["step-latency", "availability"]
         assert all(row["ok"] for row in rows)
-        metrics = tracker.as_metrics()
-        assert metrics["slo_step_latency_attainment"] == 1.0
-        assert metrics["slo_availability_burn"] == 0.0
-        assert metrics["slo_ok"] == 1.0
+        assert rows[0]["attainment"] == 1.0
+        assert rows[1]["burn"] == 0.0
+        assert tracker.all_ok()

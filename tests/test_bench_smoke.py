@@ -1,60 +1,33 @@
-"""CI smoke target: ``python -m benchmarks.run_all --quick --json ...``.
+"""CI smoke target: ``python -m benchmarks.run_all --quick``.
 
-Runs the quick probe mode in a subprocess exactly as CI would and
-asserts the machine-readable invariants: the sync-granular protocol
-still costs 2 instants per bit and the hot-path caches are
-semantically transparent (identical traces and bit streams).
+Runs the invariant gate in a subprocess exactly as CI would and
+asserts its verdict lines: the sync-granular protocol still costs 2
+instants per bit and the hot-path caches are semantically transparent
+(identical traces and bit streams) across the adversarial verify
+matrix.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import subprocess
 import sys
 
 
-def test_quick_smoke_passes_and_reports_invariants(tmp_path):
+def test_quick_smoke_passes_and_reports_invariants():
     repo_root = pathlib.Path(__file__).resolve().parent.parent
-    out = tmp_path / "BENCH_results.json"
-    history = tmp_path / "BENCH_history.jsonl"
     result = subprocess.run(
-        [sys.executable, "-m", "benchmarks.run_all", "--quick",
-         "--json", str(out), "--history", str(history)],
+        [sys.executable, "-m", "benchmarks.run_all", "--quick"],
         cwd=repo_root,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "[history: entry #1" in result.stdout
-    assert history.exists()
-
-    payload = json.loads(out.read_text())
-    assert payload["mode"] == "quick"
-    invariants = payload["invariants"]
-    assert invariants["sync_granular_two_steps_per_bit"] is True
-    assert invariants["caching_trace_identical"] is True
-    assert invariants["caching_bits_identical"] is True
-
-    throughput = payload["probes"]["sync_throughput_n64"]
-    assert throughput["n"] == 64
-    # Speedup magnitude is hardware-dependent; only sanity-check the
-    # counters that prove the caches actually engaged.
-    stats = throughput["stats"]
-    assert stats["cache_hits"] > 0
-    assert stats["observations_reused"] > 0
-
-    geometry = payload["probes"]["geometry_cache"]
-    assert geometry["cache_hits"] > 0
-    assert geometry["hit_rate"] > 0.9
-
-    sparse = payload["probes"]["event_sparse_n10k"]
-    assert sparse["n"] == 10_000
-    assert sparse["events_per_sec"] > 0
-    # The workload really was sparse: ~1% duty, heap bounded by n.
-    assert 0.001 < sparse["duty"] < 0.05
-    assert sparse["heap_depth_max"] <= sparse["n"] + 10
+    assert "[invariant sync_granular_two_steps_per_bit: ok]" in result.stdout
+    assert "[invariant adversarial_transparency: ok]" in result.stdout
+    # --quick is the gate alone: no table is regenerated
+    assert ": ok in" not in result.stdout
 
 
 def test_engine_parametrized_cells_run_both_engines():

@@ -1,9 +1,10 @@
 """Smoke test for the experiment driver.
 
 ``python benchmarks/run_all.py`` regenerates every experiment table
-(the EXPERIMENTS.md source); this test keeps the whole driver green —
-an experiment module that starts crashing is caught here even if its
-pytest-benchmark wrapper is skipped.
+(the EXPERIMENTS.md source) and then runs the invariant gate; this
+test keeps the whole driver green — an experiment module that starts
+crashing is caught here even if its pytest-benchmark wrapper is
+skipped.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import pathlib
 import subprocess
 import sys
-
-import pytest
+from types import SimpleNamespace
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -20,7 +20,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 class TestRunAll:
     def test_every_experiment_table_regenerates(self):
         result = subprocess.run(
-            [sys.executable, "benchmarks/run_all.py", "--no-history"],
+            [sys.executable, "benchmarks/run_all.py"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -45,22 +45,16 @@ class TestRunAll:
         assert not missing, f"no success line for {missing}"
         assert len(ok_lines) >= len(registered)
         assert "FAILED" not in result.stderr
+        # the full run ends with the invariant gate
+        assert "[invariant sync_granular_two_steps_per_bit: ok]" in result.stdout
 
 
 class TestQuickGate:
-    """``--quick`` must gate CI: probe failures => nonzero exit."""
+    """``--quick`` must gate CI: any violated check => nonzero exit."""
 
     def _cheap_probes(self, monkeypatch, run_all, **overrides):
-        """Replace every probe with a cheap stub, then apply overrides."""
+        """Replace every gate check with a cheap stub, then apply overrides."""
         good = {
-            "throughput_probe": lambda n=64, steps=40: {
-                "n": n, "steps": steps, "uncached_s": 1.0, "cached_s": 0.5,
-                "speedup": 2.0, "uncached_steps_per_sec": 1.0,
-                "cached_steps_per_sec": 2.0, "trace_identical": True,
-                "bits_identical": True,
-                "stats": {"observation_reuse_rate": 1.0},
-            },
-            "geometry_cache_probe": lambda: {"ok": True},
             "adversarial_transparency_probe": lambda: {
                 "seeds": 0, "runs": 0, "failures": 0, "ok": True,
                 "violations": [],
@@ -75,17 +69,32 @@ class TestQuickGate:
         import benchmarks.run_all as run_all
 
         self._cheap_probes(monkeypatch, run_all)
-        assert run_all.main(["--quick", "--no-history"]) == 0
+        assert run_all.main(["--quick"]) == 0
 
-    def test_transparency_violation_exits_nonzero(self, monkeypatch):
+    def test_sync_invariant_violation_exits_nonzero(self, monkeypatch, capsys):
         import benchmarks.run_all as run_all
 
-        broken = dict(self._good_throughput(), trace_identical=False)
         self._cheap_probes(
-            monkeypatch, run_all,
-            throughput_probe=lambda n=64, steps=40: broken,
+            monkeypatch, run_all, sync_invariant_holds=lambda: False
         )
-        assert run_all.main(["--quick", "--no-history"]) == 1
+        assert run_all.main(["--quick"]) == 1
+        assert (
+            "[invariant sync_granular_two_steps_per_bit: VIOLATED]"
+            in capsys.readouterr().out
+        )
+
+    def test_transparency_violation_exits_nonzero(self, monkeypatch):
+        """A caching-transparency failure in the verify matrix fails --quick."""
+        import benchmarks.run_all as run_all
+        import repro.verify
+
+        diverged = SimpleNamespace(violations=["[transparency @ end] traces diverged"])
+        report = SimpleNamespace(results=[diverged], failures=[diverged], ok=False)
+        monkeypatch.setattr(
+            repro.verify, "run_matrix", lambda **kwargs: report
+        )
+        monkeypatch.setattr(run_all, "sync_invariant_holds", lambda: True)
+        assert run_all.main(["--quick"]) == 1
 
     def test_adversarial_violation_exits_nonzero(self, monkeypatch):
         import benchmarks.run_all as run_all
@@ -97,216 +106,39 @@ class TestQuickGate:
                 "violations": ["[transparency @ end] traces diverged"],
             },
         )
-        assert run_all.main(["--quick", "--no-history"]) == 1
+        assert run_all.main(["--quick"]) == 1
 
-    def test_crashing_probe_is_a_failure_not_a_traceback(self, monkeypatch):
+    def test_crashing_probe_is_a_failure_not_a_traceback(self, monkeypatch, capsys):
         import benchmarks.run_all as run_all
 
-        def boom(n=64, steps=40):
+        def boom():
             raise RuntimeError("probe exploded")
 
-        self._cheap_probes(monkeypatch, run_all, throughput_probe=boom)
-        assert run_all.main(["--quick", "--no-history"]) == 1
-
-    @staticmethod
-    def _good_throughput():
-        return {
-            "n": 64, "steps": 40, "uncached_s": 1.0, "cached_s": 0.5,
-            "speedup": 2.0, "uncached_steps_per_sec": 1.0,
-            "cached_steps_per_sec": 2.0, "trace_identical": True,
-            "bits_identical": True,
-            "stats": {"observation_reuse_rate": 1.0},
-        }
-
-
-class TestResultsSchema:
-    """The JSON payload identifies itself: schema, version, commit."""
-
-    def test_results_carry_schema_version_and_commit(self, monkeypatch, tmp_path):
-        import json
-
-        import benchmarks.run_all as run_all
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        out = tmp_path / "results.json"
-        assert run_all.main(["--quick", "--no-history", "--json", str(out)]) == 0
-        results = json.loads(out.read_text())
-        assert results["schema"] == run_all.RESULTS_SCHEMA
-        assert results["version"] == run_all.RESULTS_VERSION
-        # this test runs inside the repo's own git checkout
-        assert isinstance(results["git_commit"], str)
-        assert len(results["git_commit"]) == 40
-
-    def test_results_record_wall_clock_and_workers(self, monkeypatch, tmp_path):
-        """v3 payload: per-probe wall clock plus the worker count."""
-        import json
-
-        import benchmarks.run_all as run_all
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        out = tmp_path / "results.json"
-        assert run_all.main(["--quick", "--no-history", "--json", str(out)]) == 0
-        results = json.loads(out.read_text())
-        assert results["workers"] == 0
-        assert results["elapsed_s"] > 0.0
-        timings = results["probes_elapsed_s"]
-        assert set(timings) == set(results["probes"])
-        assert all(t >= 0.0 for t in timings.values())
-
-    def test_git_commit_is_none_outside_a_checkout(self, monkeypatch):
-        import benchmarks.run_all as run_all
-
-        def no_git(*args, **kwargs):
-            raise FileNotFoundError("git")
-
-        monkeypatch.setattr(run_all.subprocess, "run", no_git)
-        assert run_all.git_commit() is None
-
-
-class TestHistory:
-    """Every driver run appends one entry to the metrics history."""
-
-    def test_two_runs_yield_two_entries_with_increasing_seq(
-        self, monkeypatch, tmp_path
-    ):
-        import benchmarks.run_all as run_all
-        from repro.obs.history import HistoryStore
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        history = tmp_path / "BENCH_history.jsonl"
-        assert run_all.main(["--quick", "--history", str(history)]) == 0
-        assert run_all.main(["--quick", "--history", str(history)]) == 0
-        entries = HistoryStore(str(history)).entries()
-        assert [e.seq for e in entries] == [1, 2]
-        for entry in entries:
-            assert entry.source == "run_all"
-            assert entry.run_id == "run_all-quick"
-            assert len(entry.git_commit) == 40
-            assert entry.metrics  # the registry snapshot flattened
-            assert any(m.startswith("probe_elapsed_s") for m in entry.metrics)
-
-    def test_results_carry_the_registry_snapshot(self, monkeypatch, tmp_path):
-        import json
-
-        import benchmarks.run_all as run_all
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        out = tmp_path / "results.json"
-        assert run_all.main(
-            ["--quick", "--no-history", "--json", str(out)]
-        ) == 0
-        results = json.loads(out.read_text())
-        assert results["version"] == 4
-        series = results["metrics"]
-        assert isinstance(series, list) and series
-        names = [entry["name"] for entry in series]
-        assert names == sorted(names)
-        assert "probe_elapsed_s" in names
-
-    def test_failed_append_fails_the_run(self, monkeypatch, tmp_path):
-        import benchmarks.run_all as run_all
-
-        def boom(results, path):
-            raise OSError("disk full")
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        monkeypatch.setattr(run_all, "append_history", boom)
-        assert run_all.main(
-            ["--quick", "--history", str(tmp_path / "h.jsonl")]
-        ) == 1
-
-    def test_no_history_skips_the_append(self, monkeypatch, tmp_path):
-        import benchmarks.run_all as run_all
-
-        def boom(results, path):
-            raise AssertionError("should not be called")
-
-        TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
-        monkeypatch.setattr(run_all, "append_history", boom)
-        assert run_all.main(["--quick", "--no-history"]) == 0
-
-
-class TestBitLatencyProbe:
-    """The bit-latency histograms land in the snapshot with labels."""
-
-    @pytest.fixture(scope="class")
-    def probe(self):
-        import benchmarks.run_all as run_all
-
-        return run_all.bit_latency_probe()
-
-    def test_probe_covers_both_engines_per_protocol(self, probe):
-        coverage = {
-            (e["labels"]["protocol"], e["labels"]["engine"])
-            for e in probe["series"]
-        }
-        assert ("sync_two", "rounds") in coverage
-        assert ("sync_two", "events") in coverage
-        assert ("async_n", "rounds") in coverage
-        assert probe["latency_samples"] > 0
-
-    def test_engines_agree_on_the_measured_latency(self, probe):
-        by_key = {
-            (e["labels"]["protocol"], e["labels"]["engine"]): e
-            for e in probe["series"]
-        }
-        for protocol in ("sync_two", "async_n"):
-            rounds = by_key[(protocol, "rounds")]
-            events = by_key[(protocol, "events")]
-            assert rounds["count"] == events["count"]
-            assert rounds["sum"] == pytest.approx(events["sum"])
-
-    def test_series_merges_into_the_snapshot_sorted(self, probe):
-        import benchmarks.run_all as run_all
-
-        snapshot = run_all.registry_snapshot({"bit_latency": probe}, {}, {})
-        names = [e["name"] for e in snapshot]
-        assert names == sorted(names)
-        assert names.count("bit_latency_instants") == probe["histograms"]
-
-    def test_history_ingest_flattens_with_labels(self, probe):
-        import benchmarks.run_all as run_all
-        from repro.obs.history import metrics_from_snapshot
-
-        flat = metrics_from_snapshot(
-            run_all.registry_snapshot({"bit_latency": probe}, {}, {})
+        self._cheap_probes(
+            monkeypatch, run_all, adversarial_transparency_probe=boom
         )
-        key = (
-            "bit_latency_instants{engine=rounds,protocol=sync_two,"
-            "scheduler=synchronous}"
-        )
-        assert flat[f"{key}.count"] >= 1
-        assert flat[f"{key}.mean"] > 0
-
-    def test_probe_registry_includes_bit_latency_in_quick(self):
-        import benchmarks.run_all as run_all
-
-        assert "bit_latency" in run_all.PROBES
-        assert "bit_latency" not in run_all._SLOW_PROBES
+        assert run_all.main(["--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "probe exploded" in captured.err
+        # the other verdicts are still reported
+        assert "[invariant sync_granular_two_steps_per_bit: ok]" in captured.out
 
 
 class TestObsFlag:
     """``--obs PATH`` exports a run and gates on transparency."""
 
-    def test_obs_export_is_loadable_and_reported(self, monkeypatch, tmp_path):
-        import json
-
+    def test_obs_export_is_loadable_and_reported(self, monkeypatch, tmp_path, capsys):
         import benchmarks.run_all as run_all
         from repro.obs.export import load_run
 
         TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
         obs_path = tmp_path / "run.jsonl"
-        out = tmp_path / "results.json"
-        code = run_all.main(
-            ["--quick", "--no-history", "--obs", str(obs_path), "--json", str(out)]
-        )
-        assert code == 0
+        assert run_all.main(["--quick", "--obs", str(obs_path)]) == 0
         run = load_run(str(obs_path))
         assert run.total_instants > 0
-        results = json.loads(out.read_text())
-        assert results["obs"]["transparent"] is True
-        assert results["invariants"]["obs_transparency"] is True
-        assert results["obs"]["events"] == len(run.events)
+        out = capsys.readouterr().out
+        assert f"[obs: {len(run.events)} events" in out
+        assert "[invariant obs_transparency: ok]" in out
 
     def test_opaque_recorder_exits_nonzero(self, monkeypatch, tmp_path):
         import benchmarks.run_all as run_all
@@ -320,9 +152,7 @@ class TestObsFlag:
                 "events": 0, "transparent": False, "metrics": [],
             },
         )
-        assert run_all.main(
-            ["--quick", "--no-history", "--obs", str(tmp_path / "r.jsonl")]
-        ) == 1
+        assert run_all.main(["--quick", "--obs", str(tmp_path / "r.jsonl")]) == 1
 
     def test_crashing_obs_probe_is_a_failure(self, monkeypatch, tmp_path):
         import benchmarks.run_all as run_all
@@ -332,6 +162,4 @@ class TestObsFlag:
 
         TestQuickGate._cheap_probes(TestQuickGate(), monkeypatch, run_all)
         monkeypatch.setattr(run_all, "obs_probe", boom)
-        assert run_all.main(
-            ["--quick", "--no-history", "--obs", str(tmp_path / "r.jsonl")]
-        ) == 1
+        assert run_all.main(["--quick", "--obs", str(tmp_path / "r.jsonl")]) == 1
