@@ -60,26 +60,27 @@ class SwarmArrays:
         self.np = np
         n = len(robots)
         self.n = n
-        self.px = np.empty(n, dtype=np.float64)
-        self.py = np.empty(n, dtype=np.float64)
-        self.xaxx = np.empty(n, dtype=np.float64)
-        self.xaxy = np.empty(n, dtype=np.float64)
-        self.yaxx = np.empty(n, dtype=np.float64)
-        self.yaxy = np.empty(n, dtype=np.float64)
-        self.scale = np.empty(n, dtype=np.float64)
-        self.sigma = np.empty(n, dtype=np.float64)
-        for i, robot in enumerate(robots):
-            self.px[i] = robot.position.x
-            self.py[i] = robot.position.y
-            frame = robot.frame
+        f64 = np.float64
+        positions = [robot.position for robot in robots]
+        frames = [robot.frame for robot in robots]
+        # Each x_axis is a fresh Vec2: drop it at once, so n of them
+        # never live together (that would cost an extra full GC pass).
+        xaxx, xaxy = [], []
+        for frame in frames:
             x_axis = frame.x_axis
-            y_axis = frame.y_axis
-            self.xaxx[i] = x_axis.x
-            self.xaxy[i] = x_axis.y
-            self.yaxx[i] = y_axis.x
-            self.yaxy[i] = y_axis.y
-            self.scale[i] = frame.scale
-            self.sigma[i] = robot.sigma
+            xaxx.append(x_axis.x)
+            xaxy.append(x_axis.y)
+        self.px = np.array([p.x for p in positions], dtype=f64)
+        self.py = np.array([p.y for p in positions], dtype=f64)
+        self.xaxx = np.array(xaxx, dtype=f64)
+        self.xaxy = np.array(xaxy, dtype=f64)
+        # Frame.y_axis: x_axis.perp_ccw() = (-x.y, x.x), negated when
+        # left-handed.  Negation is exact, signed zeros included.
+        right = np.array([frame.handedness == 1 for frame in frames], dtype=bool)
+        self.yaxx = np.where(right, -self.xaxy, self.xaxy)
+        self.yaxy = np.where(right, self.xaxx, -self.xaxx)
+        self.scale = np.array([frame.scale for frame in frames], dtype=f64)
+        self.sigma = np.array([robot.sigma for robot in robots], dtype=f64)
         self.ax = self.px.copy()
         self.ay = self.py.copy()
         self.pos_epoch = np.zeros(n, dtype=np.int64)

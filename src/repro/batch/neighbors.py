@@ -6,15 +6,26 @@ perf layer with whole-swarm array passes:
 * small swarms (``n <= brute_limit``) use a chunked brute-force
   distance matrix — simple, exact, cache-friendly;
 * large swarms use grid binning: points are bucketed into square
-  cells of roughly one point each, candidates are gathered from the
-  3x3 cell window with one padded fancy-index per offset, and any
-  point whose window could not certify its true nearest neighbour
-  (found distance exceeds the cell size, or an overfull neighbour
-  cell) falls back to chunked brute force for just that residue.
+  cells of roughly one point each, and candidates are gathered one
+  Chebyshev ring of cells at a time, with one padded fancy-index per
+  cell offset.  Every point searches ring 0 and ring 1 (its 3x3
+  window); the points that window cannot certify search ring 2 (the
+  5x5 block); whatever is still uncertified falls back to chunked
+  brute force for just that residue.
 
-The guarantee behind the 3x3 window: a point inside cell ``(i, j)``
-is at distance >= ``cell`` from everything outside the window, so a
-candidate found at distance <= ``cell`` is certainly the true nearest.
+The ring bounds: a point inside cell ``(i, j)`` is at distance
+>= ``r * cell`` from every point outside the ``(2r+1) x (2r+1)`` block
+of cells around it.  So a best candidate at distance strictly below
+``cell`` (after the 3x3 window) or ``2 * cell`` (after the 5x5 block)
+is the true nearest, and no point outside the block can tie it.  A
+point next to an overfull cell (more than ``_CELL_CAP`` members,
+whose candidates are skipped) is never certified.
+
+The tie rule: among equidistant neighbours the lowest index wins, as
+in ``_brute``'s ``argmin``.  Within one cell the candidates come in
+index order, and across cells an equal distance replaces the best only
+with a lower index, so both paths return the same index arrays as well
+as the same distances.
 
 ``exact_min_hypot`` exists for bit-parity with the scalar engine:
 ``numpy.hypot`` and ``math.hypot`` may differ in the last ulp, so the
@@ -129,6 +140,87 @@ def _brute(np, qx, qy, qidx, px, py, budget: int = 4_000_000):
 #: the padded gather
 _CELL_CAP = 64
 
+#: relative margin under the ring bound: a distance within rounding
+#: of ``r * cell`` is not certified, whatever the float error of the
+#: cell assignment and of the squared distances
+_RING_SLACK = 1e-9
+
+
+def _ring(r: int):
+    """The cell offsets at Chebyshev distance exactly ``r``."""
+    return [
+        (ox, oy)
+        for ox in range(-r, r + 1)
+        for oy in range(-r, r + 1)
+        if max(abs(ox), abs(oy)) == r
+    ]
+
+
+class _Cells:
+    """Points bucketed into a ``side x side`` grid of square cells.
+
+    ``order`` lists the point indices sorted by cell key (stable, so
+    each cell's members are in index order); cell ``k`` holds
+    ``order[first[k]:first[k] + count[k]]``.
+    """
+
+    def __init__(self, np, px, py, min_x, min_y, side, cell):
+        self.np = np
+        self.px = px
+        self.py = py
+        self.side = side
+        self.ix = np.clip((px - min_x) // cell, 0, side - 1).astype(np.int64)
+        self.iy = np.clip((py - min_y) // cell, 0, side - 1).astype(np.int64)
+        key = self.ix * side + self.iy
+        self.order = np.argsort(key, kind="stable")
+        self.count = np.bincount(key, minlength=side * side)
+        self.first = np.cumsum(self.count) - self.count
+
+    def search(self, q, offsets, best, bestj):
+        """Fold the cells at ``offsets`` around each querier into its best.
+
+        ``q`` holds the queriers' point indices; ``best`` and ``bestj``
+        (squared distance and index of the best candidate so far) are
+        indexed like ``q`` and updated in place under the tie rule.
+        Returns the mask of queriers that met an overfull cell, whose
+        candidates were skipped.  ``q`` must not be empty.
+        """
+        np, px, py, side = self.np, self.px, self.py, self.side
+        qx = px[q]
+        qy = py[q]
+        cx = self.ix[q]
+        cy = self.iy[q]
+        rows = np.arange(len(q))
+        overfull = np.zeros(len(q), dtype=bool)
+        for ox, oy in offsets:
+            nx = cx + ox
+            ny = cy + oy
+            valid = (nx >= 0) & (nx < side) & (ny >= 0) & (ny < side)
+            nkey = np.where(valid, nx * side + ny, 0)
+            count = np.where(valid, self.count[nkey], 0)
+            over = count > _CELL_CAP
+            overfull |= over
+            count[over] = 0
+            cap = int(count.max())
+            if cap == 0:
+                continue
+            lanes = np.arange(cap, dtype=np.int64)
+            take = lanes[None, :] < count[:, None]
+            slots = np.where(take, self.first[nkey][:, None] + lanes[None, :], 0)
+            cand = self.order[slots]
+            cdx = px[cand] - qx[:, None]
+            cdy = py[cand] - qy[:, None]
+            d2 = cdx * cdx + cdy * cdy
+            d2[~take] = np.inf
+            d2[cand == q[:, None]] = np.inf
+            lane = d2.argmin(axis=1)
+            val = d2[rows, lane]
+            j = cand[rows, lane]
+            upd = (val < best) | ((val == best) & (j < bestj))
+            best[upd] = val[upd]
+            bestj[upd] = j[upd]
+        return overfull
+
 
 def _grid(np, px, py):
     n = len(px)
@@ -136,61 +228,35 @@ def _grid(np, px, py):
     min_y = float(py.min())
     span = max(float(px.max()) - min_x, float(py.max()) - min_y)
     if span <= 0.0:
-        # All points coincide: everyone's nearest neighbour is at 0.
-        zeros = np.zeros(n, dtype=np.float64)
-        nbr = np.arange(n, dtype=np.int64)
-        nbr = (nbr + 1) % n
-        return zeros, nbr
+        # All points coincide: everyone's nearest neighbour is at 0,
+        # and the lowest other index is 0 (1 for point 0 itself).
+        nbr = np.zeros(n, dtype=np.int64)
+        nbr[0] = 1
+        return np.zeros(n, dtype=np.float64), nbr
     side = max(1, int(math.sqrt(n)))
     cell = span / side
-    ix = np.clip((px - min_x) // cell, 0, side - 1).astype(np.int64)
-    iy = np.clip((py - min_y) // cell, 0, side - 1).astype(np.int64)
-    key = ix * side + iy
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
+    cells = _Cells(np, px, py, min_x, min_y, side, cell)
 
+    # Rings 0 and 1 (the 3x3 window) for everyone.
+    everyone = np.arange(n, dtype=np.int64)
     best = np.full(n, np.inf, dtype=np.float64)
     bestj = np.full(n, -1, dtype=np.int64)
-    overfull = np.zeros(n, dtype=bool)
-    self_idx = np.arange(n, dtype=np.int64)
+    overfull = cells.search(everyone, _ring(0) + _ring(1), best, bestj)
+    bound = cell * cell * (1.0 - _RING_SLACK)
+    residue = [np.nonzero(overfull)[0]]
 
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            nx = ix + ox
-            ny = iy + oy
-            valid = (nx >= 0) & (nx < side) & (ny >= 0) & (ny < side)
-            nkey = nx * side + ny
-            start = np.searchsorted(sorted_keys, nkey, side="left")
-            end = np.searchsorted(sorted_keys, nkey, side="right")
-            count = np.where(valid, end - start, 0)
-            over = count > _CELL_CAP
-            overfull |= over
-            count = np.where(over, 0, count)
-            cap = int(count.max()) if len(count) else 0
-            if cap == 0:
-                continue
-            lanes = np.arange(cap, dtype=np.int64)
-            slots = start[:, None] + lanes[None, :]
-            take = lanes[None, :] < count[:, None]
-            slots = np.where(take, slots, 0)
-            cand = order[slots]
-            cdx = px[cand] - px[:, None]
-            cdy = py[cand] - py[:, None]
-            d2 = cdx * cdx + cdy * cdy
-            d2[~take] = np.inf
-            d2[cand == self_idx[:, None]] = np.inf
-            lane = d2.argmin(axis=1)
-            val = d2[self_idx, lane]
-            upd = val < best
-            best[upd] = val[upd]
-            bestj[upd] = cand[upd, lane[upd]]
+    # Ring 2 (the 5x5 block) for what the window left uncertified.
+    q = np.nonzero(~overfull & ~(best < bound))[0]
+    if len(q):
+        qbest = best[q]
+        qbestj = bestj[q]
+        over = cells.search(q, _ring(2), qbest, qbestj)
+        best[q] = qbest
+        bestj[q] = qbestj
+        residue.append(q[over | ~(qbest < 4.0 * bound)])
 
-    # Certified iff a candidate was found within one cell width; the
-    # rest (sparse outskirts, overfull clusters) go to brute force.
-    unresolved = overfull | ~(best <= cell * cell)
-    if unresolved.any():
-        ridx = np.nonzero(unresolved)[0]
-        rb, rj = _brute(np, px[ridx], py[ridx], ridx, px, py)
-        best[ridx] = rb
-        bestj[ridx] = rj
+    # Brute force for the rest: sparse outskirts and overfull clusters.
+    ridx = np.concatenate(residue)
+    if len(ridx):
+        best[ridx], bestj[ridx] = _brute(np, px[ridx], py[ridx], ridx, px, py)
     return best, bestj
