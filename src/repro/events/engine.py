@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import EventError, SchedulerError
 from repro.events.delay import DelayModel, ZeroDelay
 from repro.events.timing import TimingModel
+from repro.geometry.frames import basis_to_local, basis_to_world
 from repro.geometry.vec import Vec2
 from repro.model.looks import LookPolicy
 from repro.model.observation import Observation
@@ -80,11 +81,10 @@ class _LazyLocalView(SequenceABC):
     swarm allocates O(1) per robot instead of an n-tuple each.
     """
 
-    __slots__ = ("_to_local", "_anchor", "_anchors", "_visible", "_count")
+    __slots__ = ("_transform", "_anchors", "_visible", "_count")
 
-    def __init__(self, to_local, anchor, anchors, visible, count) -> None:
-        self._to_local = to_local
-        self._anchor = anchor
+    def __init__(self, transform, anchors, visible, count) -> None:
+        self._transform = transform  # the observer's (basis, scale, anchor)
         self._anchors = anchors
         self._visible = visible
         self._count = count
@@ -102,7 +102,8 @@ class _LazyLocalView(SequenceABC):
             raise IndexError(item)
         if index not in self._visible:
             return None
-        return self._to_local(self._anchors[index], self._anchor)
+        basis, scale, anchor = self._transform
+        return basis_to_local(basis, scale, self._anchors[index], anchor)
 
 
 class EventSimulator(Simulator):
@@ -325,7 +326,8 @@ class EventSimulator(Simulator):
         if observation is None:  # pragma: no cover - heap contract
             raise EventError(f"compute event for robot {robot} without a look")
         local_target = spec.protocol.on_activate(observation)
-        world_target = spec.frame.to_world(local_target, self._anchors[robot])
+        basis, scale, anchor = self._local_transforms[robot]
+        world_target = basis_to_world(basis, scale, local_target, anchor)
         clamped = self._positions[robot].clamped_toward(world_target, spec.sigma)
         self._pending_target[robot] = self._constrain_destination(robot, clamped)
         self._push(time + self._sample_phase("compute", _COMPUTE, robot), _MOVE, robot)
@@ -554,9 +556,5 @@ class EventSimulator(Simulator):
         if not self._lazy_views:
             return super()._initial_local_view(index, robot, visible, positions)
         return _LazyLocalView(
-            robot.frame.to_local,
-            self._anchors[index],
-            self._anchors,
-            visible,
-            self.count,
+            self._local_transforms[index], self._anchors, visible, self.count
         )

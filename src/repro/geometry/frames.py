@@ -19,6 +19,12 @@ protocol needs.
 The frame's *origin* is not stored: a robot's origin is its current
 position, which changes as it moves, so transform methods take the
 origin as an argument.
+
+The point transforms are defined once, on a precomputed
+:data:`Basis` (:func:`frame_basis`, :func:`basis_to_local`,
+:func:`basis_to_world`): the :class:`Frame` methods call them, and the
+engines call them with a basis computed once per robot instead of one
+trig evaluation per transform.  Both routes produce the same floats.
 """
 
 from __future__ import annotations
@@ -26,13 +32,75 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Literal, Sequence
+from typing import Dict, Iterable, List, Literal, Sequence, Tuple
 
 from repro.geometry.vec import Vec2
 
-__all__ = ["Frame", "make_frames", "FrameRegime"]
+__all__ = [
+    "Basis",
+    "Frame",
+    "FrameRegime",
+    "basis_to_local",
+    "basis_to_world",
+    "frame_basis",
+    "frame_bases",
+    "make_frames",
+]
 
 FrameRegime = Literal["identical", "sense_of_direction", "chirality", "adversarial"]
+
+#: A frame's orientation as the world components of its local axes:
+#: ``(x.x, x.y, y.x, y.y)`` for the local +x axis ``x`` and +y axis ``y``.
+Basis = Tuple[float, float, float, float]
+
+
+def frame_basis(rotation: float, handedness: int) -> Basis:
+    """The local axes of a frame, from one cos/sin pair.
+
+    The floats are exactly those of :attr:`Frame.x_axis` (the unit
+    vector at ``rotation``) and :attr:`Frame.y_axis` (its +90°
+    perpendicular, negated in a left-handed frame).
+    """
+    c = math.cos(rotation)
+    s = math.sin(rotation)
+    if handedness == 1:
+        return (c, s, -s, c)
+    return (c, s, s, -c)
+
+
+def frame_bases(frames: Iterable["Frame"]) -> List[Basis]:
+    """One basis per frame, evaluated once per distinct orientation.
+
+    Under a shared sense of direction every frame gets the same basis
+    object.  The key carries the sign of ``rotation`` because ``0.0``
+    and ``-0.0`` compare equal but have sines of opposite sign.
+    """
+    memo: Dict[Tuple[float, float, int], Basis] = {}
+    out: List[Basis] = []
+    for frame in frames:
+        rotation = frame.rotation
+        key = (rotation, math.copysign(1.0, rotation), frame.handedness)
+        basis = memo.get(key)
+        if basis is None:
+            basis = memo[key] = frame_basis(rotation, frame.handedness)
+        out.append(basis)
+    return out
+
+
+def basis_to_local(basis: Basis, scale: float, world_point: Vec2, origin: Vec2) -> Vec2:
+    """:meth:`Frame.to_local` on a precomputed basis."""
+    cx, cy, yx, yy = basis
+    dx = world_point.x - origin.x
+    dy = world_point.y - origin.y
+    return Vec2((dx * cx + dy * cy) / scale, (dx * yx + dy * yy) / scale)
+
+
+def basis_to_world(basis: Basis, scale: float, local_point: Vec2, origin: Vec2) -> Vec2:
+    """:meth:`Frame.to_world` on a precomputed basis."""
+    cx, cy, yx, yy = basis
+    lx = local_point.x * scale
+    ly = local_point.y * scale
+    return Vec2(origin.x + cx * lx + yx * ly, origin.y + cy * lx + yy * ly)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,26 +137,22 @@ class Frame:
     @property
     def y_axis(self) -> Vec2:
         """World direction of the local +y axis (unit length)."""
-        base = self.x_axis.perp_ccw()
-        return base if self.handedness == 1 else -base
+        _, _, yx, yy = frame_basis(self.rotation, self.handedness)
+        return Vec2(yx, yy)
 
     # ------------------------------------------------------------------
     # Point transforms
     # ------------------------------------------------------------------
     def to_local(self, world_point: Vec2, origin: Vec2) -> Vec2:
         """Express a world point in this frame centred at ``origin``."""
-        delta = world_point - origin
-        return Vec2(
-            delta.dot(self.x_axis) / self.scale,
-            delta.dot(self.y_axis) / self.scale,
+        return basis_to_local(
+            frame_basis(self.rotation, self.handedness), self.scale, world_point, origin
         )
 
     def to_world(self, local_point: Vec2, origin: Vec2) -> Vec2:
         """Map a local point (frame centred at ``origin``) to the world."""
-        return (
-            origin
-            + self.x_axis * (local_point.x * self.scale)
-            + self.y_axis * (local_point.y * self.scale)
+        return basis_to_world(
+            frame_basis(self.rotation, self.handedness), self.scale, local_point, origin
         )
 
     # ------------------------------------------------------------------

@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, SchedulerError
+from repro.geometry.frames import Basis, basis_to_local, basis_to_world, frame_bases
 from repro.geometry.vec import Vec2
 from repro.model.looks import LookPolicy
 from repro.model.observation import Observation, ObservedRobot
@@ -193,11 +194,16 @@ class Simulator:
                 self._compute_visible_from(i) for i in range(len(self._robots))
             )
             self._visible_lists = tuple(tuple(sorted(v)) for v in self._visible_sets)
-        # Per-robot (to_local, anchor) pairs: the observe loop is the
-        # hottest code in the engine, so attribute chases are hoisted.
-        self._local_transforms: Tuple[Tuple[Callable, Vec2], ...] = tuple(
-            (robot.frame.to_local, self._anchors[i])
-            for i, robot in enumerate(self._robots)
+        # Per-robot (basis, scale, anchor): the observe loop is the
+        # hottest code in the engine, so each frame's trig is evaluated
+        # once here (once per swarm under a shared sense of direction)
+        # instead of on every transform.
+        self._local_transforms: Tuple[Tuple[Basis, float, Vec2], ...] = tuple(
+            zip(
+                frame_bases(robot.frame for robot in self._robots),
+                [robot.frame.scale for robot in self._robots],
+                self._anchors,
+            )
         )
         self._obs_cache: List[Optional[_ObservationCacheEntry]] = [None] * len(
             self._robots
@@ -412,7 +418,8 @@ class Simulator:
             if rhook is not None:
                 rhook("compute", index, now)
             local_target = robot.protocol.on_activate(observation)
-            world_target = robot.frame.to_world(local_target, self._anchors[index])
+            basis, scale, anchor = self._local_transforms[index]
+            world_target = basis_to_world(basis, scale, local_target, anchor)
             clamped = self._positions[index].clamped_toward(world_target, robot.sigma)
             new_positions[index] = self._constrain_destination(index, clamped)
 
@@ -532,10 +539,9 @@ class Simulator:
         ``lazy_views=True``) overrides this with an on-demand view so
         building an n-robot swarm stays O(n) instead of O(n²).
         """
-        anchor = self._anchors[index]
-        to_local = robot.frame.to_local
+        basis, scale, anchor = self._local_transforms[index]
         return tuple(
-            to_local(p, anchor) if i in visible else None
+            basis_to_local(basis, scale, p, anchor) if i in visible else None
             for i, p in enumerate(positions)
         )
 
@@ -599,10 +605,17 @@ class Simulator:
 
         self._stats.cache_misses += 1
         visible = self._visible_lists[index]
-        to_local, anchor = self._local_transforms[index]
+        (cx, cy, yx, yy), scale, anchor = self._local_transforms[index]
+        ox = anchor.x
+        oy = anchor.y
         obs_ids = self._observed_ids
         built: List[ObservedRobot] = []
         reused = 0
+        # Each fresh entry is basis_to_local(basis, scale, p, anchor)
+        # written out inline, the same operations in the same order:
+        # a call per robot would cost as much as the arithmetic.  The
+        # caching=False pipeline goes through Frame.to_local, so the
+        # caching transparency check pins this copy to it.
 
         if entry is not None and live and entry.live:
             # Per-entry reuse by position epoch: integer compare per
@@ -615,13 +628,14 @@ class Simulator:
                     built.append(old[k])
                     reused += 1
                 else:
-                    built.append(
-                        ObservedRobot(
-                            index=i,
-                            position=to_local(config[i], anchor),
-                            observable_id=obs_ids[i],
-                        )
-                    )
+                    p = config[i]
+                    dx = p.x - ox
+                    dy = p.y - oy
+                    built.append(ObservedRobot(
+                        i,
+                        Vec2((dx * cx + dy * cy) / scale, (dx * yx + dy * yy) / scale),
+                        obs_ids[i],
+                    ))
         elif entry is not None:
             # Cached build came from (or is compared against) a
             # non-live snapshot: reuse entries whose world position is
@@ -634,22 +648,23 @@ class Simulator:
                     built.append(old[k])
                     reused += 1
                 else:
-                    built.append(
-                        ObservedRobot(
-                            index=i,
-                            position=to_local(p, anchor),
-                            observable_id=obs_ids[i],
-                        )
-                    )
+                    dx = p.x - ox
+                    dy = p.y - oy
+                    built.append(ObservedRobot(
+                        i,
+                        Vec2((dx * cx + dy * cy) / scale, (dx * yx + dy * yy) / scale),
+                        obs_ids[i],
+                    ))
         else:
             for i in visible:
-                built.append(
-                    ObservedRobot(
-                        index=i,
-                        position=to_local(config[i], anchor),
-                        observable_id=obs_ids[i],
-                    )
-                )
+                p = config[i]
+                dx = p.x - ox
+                dy = p.y - oy
+                built.append(ObservedRobot(
+                    i,
+                    Vec2((dx * cx + dy * cy) / scale, (dx * yx + dy * yy) / scale),
+                    obs_ids[i],
+                ))
 
         observed = tuple(built)
         index_map = {r.index: r.position for r in observed}

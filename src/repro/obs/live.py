@@ -8,7 +8,7 @@ doing to my request, right now?* — with four pieces:
 * :class:`RequestTrace` / :class:`RequestSpan` — one trace per client
   request, carrying a trace id, the op/app/session it belongs to, and
   named spans (``queue-wait``, ``restore``, ``dispatch``,
-  ``execute``) whose durations telescope to the request's
+  ``execute``, ``reply``) whose durations telescope to the request's
   client-observed latency, the same attribution discipline
   :mod:`repro.obs.causal` enforces for bit flights.  A trace carries
   its session id, so it joins the causal DAG of a recorded session

@@ -30,6 +30,7 @@ are overheard by everyone — the redundancy the paper points out.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List
 
 from repro.errors import AmbiguousDirectionError, ProtocolError
@@ -176,18 +177,27 @@ class SyncGranularProtocol(Protocol):
     # Decoding — every robot decodes every movement
     # ------------------------------------------------------------------
     def _decode(self, observation: Observation) -> List[BitEvent]:
+        # This loop runs n - 1 times per activation, so every lookup
+        # that does not depend on the peer is hoisted out of it.
         events: List[BitEvent] = []
         me = self.info.index
-        for j in range(self.info.count):
+        get = observation.get
+        was_home = self._peer_was_home
+        off_home_fraction = self._off_home_fraction
+        hypot = math.hypot
+        for j, granular in self._granulars.items():  # ascending j
             if j == me:
                 continue
-            granular = self._granulars[j]
-            position = observation.position_of(j)
-            offset = position.distance_to(granular.center)
-            if offset <= self._off_home_fraction * granular.radius:
-                self._peer_was_home[j] = True
+            position = get(j)
+            if position is None:
+                raise KeyError(f"robot {j} is not visible in this snapshot")
+            center = granular.center
+            # == position.distance_to(center), without the call
+            offset = hypot(position.x - center.x, position.y - center.y)
+            if offset <= off_home_fraction * granular.radius:
+                was_home[j] = True
                 continue
-            if self._peer_was_home[j]:
+            if was_home[j]:
                 try:
                     label, positive = granular.classify(position)
                 except AmbiguousDirectionError:
@@ -208,7 +218,7 @@ class SyncGranularProtocol(Protocol):
                         bit=0 if positive else 1,
                     )
                 )
-            self._peer_was_home[j] = False
+            was_home[j] = False
         return events
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ The service's speed is measured by the repo benchmark
 
 Wire a :class:`~repro.obs.live.RequestTracer` into the manager
 (``SessionManager(..., tracer=RequestTracer())``) and every request
-gets a trace with telescoping queue-wait/restore/execute/dispatch
+gets a trace with telescoping queue-wait/restore/execute/dispatch/reply
 spans, rolling percentiles per op x app, and SLO attainment — all off
 (zero dispatches) when no tracer is given.  ``python -m repro.obs
 top`` renders a live dashboard from the ``telemetry`` verb.

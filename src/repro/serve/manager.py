@@ -104,7 +104,7 @@ class _SessionEntry:
 
 class _StepRequest:
     __slots__ = ("sid", "instants", "future", "enqueued_at",
-                 "trace", "drained_at", "restore_s")
+                 "trace", "drained_at", "restore_s", "resolved_at")
 
     def __init__(
         self,
@@ -123,6 +123,8 @@ class _StepRequest:
         self.drained_at: Optional[float] = None
         #: this request's share of the tick's restore time (seconds)
         self.restore_s = 0.0
+        #: when a tick resolved the future (the trace's spans end here)
+        self.resolved_at: Optional[float] = None
 
 
 class SessionManager:
@@ -363,7 +365,33 @@ class SessionManager:
         entry.pending += 1
         self._g_queue.set(len(self._queue))
         self._wakeup.set()
-        return await future
+        if opened is None:
+            return await future
+        error: Optional[str] = None
+        try:
+            return await future
+        except BaseException as exc:
+            error = type(exc).__name__
+            raise
+        finally:
+            self._finish_step_trace(request, error)
+
+    def _finish_step_trace(self, request: _StepRequest, error: Optional[str]) -> None:
+        """Close a step trace where its caller resumes.
+
+        :meth:`_resolve` attributes the trace up to the moment it
+        resolves the future.  The hop from there until the awaiting
+        coroutine runs again is the ``reply`` span.  A request failed
+        outside a tick (the service stopped) or cancelled before its
+        tick gets one ``dispatch`` span for the whole request.
+        """
+        trace = request.trace
+        resumed = time.perf_counter()
+        if request.resolved_at is not None:
+            trace.add_span("reply", request.resolved_at, resumed)
+        else:
+            trace.add_span("dispatch", trace.started, resumed)
+        self.tracer.finish(trace, error=error, ended=resumed)
 
     async def query(self, sid: str, trace: Optional[str] = None) -> Dict:
         """Status + app summary.  Parked sessions answer from their
@@ -662,14 +690,17 @@ class SessionManager:
                 self.registry.histogram(
                     "serve_step_latency_s", buckets=_LATENCY_BOUNDS, app=app
                 ).observe(seconds)
+            if request.future.done():
+                continue  # the caller is gone; step() closed its trace
             trace = request.trace
             if trace is not None:
                 drained = request.drained_at
                 if drained is None:
                     drained = now
                 # spans telescope: queue-wait + restore + execute +
-                # dispatch == end-to-end, the causal-DAG attribution
-                # discipline applied to the serving tier
+                # dispatch (+ reply, added in step()) == end-to-end, the
+                # causal-DAG attribution discipline applied to the
+                # serving tier
                 trace.add_span("queue-wait", trace.started, drained)
                 cursor = drained
                 if request.restore_s > 0.0:
@@ -680,13 +711,7 @@ class SessionManager:
                     trace.add_span("execute", cursor, min(cursor + share, now))
                     cursor = min(cursor + share, now)
                 trace.add_span("dispatch", cursor, now)
-                self.tracer.finish(
-                    trace,
-                    error=type(exc).__name__ if exc is not None else None,
-                    ended=now,
-                )
-            if request.future.done():
-                continue
+                request.resolved_at = now
             if exc is not None:
                 request.future.set_exception(exc)
             else:

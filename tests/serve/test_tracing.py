@@ -5,7 +5,7 @@ The acceptance bar from the observability plane:
 * a request through :class:`ServeClient` (and through the TCP front
   end) yields a trace whose spans cover >= 95% of the latency the
   client itself observed;
-* the spans telescope (queue-wait + restore + execute + dispatch ==
+* the spans telescope (queue-wait + restore + execute + dispatch + reply ==
   the trace's end-to-end seconds);
 * a parked session stepped after eviction carries a ``restore`` span;
 * errors land in the trace ring and burn the availability budget;
