@@ -60,7 +60,8 @@ class SwarmHarness:
         trace_policy: forwarded to the simulator (trace memory bound).
         backend: simulator backend — ``"scalar"`` (default) or
             ``"batch"`` (the vectorized engine of :mod:`repro.batch`;
-            degrades gracefully to scalar when numpy is absent).  The
+            degrades to scalar when numpy is absent or the swarm is
+            outside the granular kernel's envelope).  The
             backends are trace-equivalent, so everything built on the
             harness behaves identically either way.
         engine: ``"rounds"`` (default, instant-stepped) or ``"events"``
@@ -113,8 +114,8 @@ class SwarmHarness:
             **kwargs,
         )
         # Channels and monitors wrap the *simulator's* protocol surface,
-        # not robot.protocol: the batch engine's kernel mode serves bit
-        # streams through per-robot views instead of the bound objects.
+        # not robot.protocol: the batch engine serves bit streams
+        # through per-robot views instead of the bound objects.
         self.channels = [
             MovementChannel(self.simulator.protocol_of(i))
             for i in range(len(self.robots))

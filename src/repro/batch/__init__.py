@@ -20,19 +20,24 @@ arrays and executes whole Look-Compute-Move rounds as array operations:
   classification;
 * :mod:`repro.batch.geometry` — the epoch-invalidated geometry facade
   (the :class:`~repro.perf.cache.CachedGeometry` contract, array-backed);
+* :mod:`repro.batch.kernel` — the vectorized granular protocol and
+  :func:`~repro.batch.kernel.kernel_eligible`, the envelope of swarms
+  it can host;
 * :mod:`repro.batch.engine` — :class:`~repro.batch.engine.
-  BatchSimulator`, a drop-in for the scalar simulator.
+  BatchSimulator`, the kernel behind the scalar simulator's surface.
 
 ``numpy`` is an *optional* dependency (the ``[batch]`` extra).  Every
 entry point degrades gracefully: :func:`available` probes without
 raising, :func:`require_numpy` raises a clear ``ImportError``, and
 :func:`make_simulator` falls back to the scalar engine when numpy is
-absent (or, with ``strict=True``, refuses loudly).
+absent or the swarm is outside the kernel's envelope (or, with
+``strict=True``, refuses loudly); :func:`supports` says which engine
+it will pick.
 
 Correctness is enforced by the scalar-vs-batch axis of the
 differential oracle (:mod:`repro.verify.differential`): same seed,
-byte-identical traces, received bit streams and monitor verdicts
-across the protocol x scheduler matrix.
+byte-identical traces, received bit streams and monitor verdicts on
+every matrix cell the kernel can host.
 """
 
 from __future__ import annotations
@@ -99,20 +104,20 @@ def require_numpy():
     return numpy
 
 
-def supports(robots: Sequence, scheduler=None) -> bool:
-    """Whether the batch engine can host this swarm at all.
+def supports(robots: Sequence) -> bool:
+    """Whether ``make_simulator(robots, backend="batch")`` runs the batch engine.
 
-    The batch engine implements the base SSM model (unlimited
-    visibility, continuous plane).  Model variants — look policies
-    (``look=``: stale looks, sensing noise), ``visibility_radius``
-    and the lattice worlds — have no batch port yet and must stay on
-    the scalar engines.
+    True when numpy is importable and the swarm is in the granular
+    kernel's envelope (:func:`repro.batch.kernel.kernel_eligible`);
+    every other swarm runs on the scalar engine.  Model variants —
+    look policies (``look=``), ``visibility_radius`` and the lattice
+    worlds — are scalar engine options with no batch port.
     """
     if not available():
         return False
-    from repro.batch.engine import swarm_supported
+    from repro.batch.kernel import kernel_eligible
 
-    return swarm_supported(robots)
+    return kernel_eligible(robots)
 
 
 def make_simulator(
@@ -139,18 +144,19 @@ def make_simulator(
             round-emulation timing the two engines are byte-identical
             (``python -m repro.verify --event-oracle``).
         strict: with ``backend="batch"``, raise instead of degrading
-            to scalar when numpy is missing or the swarm is out of the
-            batch engine's envelope.
+            to scalar when numpy is missing (``ImportError``) or the
+            swarm is outside the kernel's envelope (``ValueError``).
         timing / delay / registry: event-engine knobs (a
             :class:`~repro.events.timing.TimingModel`, a
             :class:`~repro.events.delay.DelayModel`, a
             :class:`~repro.obs.registry.MetricsRegistry`); only valid
             with ``engine="events"``.
 
-    The two backends are trace-equivalent by construction — same
-    robots, same scheduler, same seed produce byte-identical traces,
-    received bit streams and final configurations (enforced by
-    ``python -m repro.verify --backend-oracle``).
+    The two backends are trace-equivalent — same robots, same
+    scheduler, same seed produce byte-identical traces, received bit
+    streams and final configurations (enforced on the kernel's swarms
+    by ``python -m repro.verify --backend-oracle``; every other swarm
+    runs on the scalar engine under either name).
     """
     from repro.model.simulator import Simulator
 
@@ -180,23 +186,20 @@ def make_simulator(
             "timing/delay/registry are event-engine knobs; pass engine='events'"
         )
     if backend == "batch":
-        if not available():
+        if not supports(robots):
             if strict:
-                require_numpy()
-            return Simulator(
-                robots, scheduler, caching=caching, trace_policy=trace_policy
-            )
-        from repro.batch.engine import BatchSimulator, swarm_supported
+                from repro.batch.kernel import KERNEL_ENVELOPE
 
-        if not swarm_supported(robots):
-            if strict:
+                require_numpy()
                 raise ValueError(
-                    "the batch backend cannot host this swarm "
-                    "(model-variant simulator required); use backend='scalar'"
+                    "the batch backend cannot host this swarm: it runs "
+                    f"{KERNEL_ENVELOPE}; use backend='scalar'"
                 )
             return Simulator(
                 robots, scheduler, caching=caching, trace_policy=trace_policy
             )
+        from repro.batch.engine import BatchSimulator
+
         return BatchSimulator(
             robots, scheduler, caching=caching, trace_policy=trace_policy
         )

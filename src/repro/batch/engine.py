@@ -1,30 +1,26 @@
-"""The batch simulation engine — a drop-in for the scalar simulator.
+"""The batch simulation engine — the granular kernel behind the scalar surface.
 
 :class:`BatchSimulator` exposes the :class:`repro.model.simulator.
 Simulator` surface (``step``/``run``/``run_until``, ``positions``,
 ``trace``, ``epoch``, ``stats``, ``geometry``, ``protocol_of``,
-listeners, ``displace``) over struct-of-arrays state, and runs one of
-two execution cores:
+listeners, ``displace``) over struct-of-arrays state for one kind of
+swarm: plain :class:`~repro.protocols.sync_granular.
+SyncGranularProtocol` instances with one shared configuration (the
+10k-100k regime this backend exists for; :data:`~repro.batch.kernel.
+KERNEL_ENVELOPE` states the whole condition).  The per-robot protocol
+objects are *not bound*; the :class:`~repro.batch.kernel.
+GranularKernel` executes whole instants as array passes and
+``protocol_of`` returns a :class:`~repro.batch.kernel.
+KernelProtocolView` with the protocol's read/queue surface.
 
-**Kernel mode** — swarms of plain :class:`~repro.protocols.
-sync_granular.SyncGranularProtocol` instances with one shared
-configuration (the 10k-100k regime this backend exists for).  The
-per-robot protocol objects are *not bound*; the
-:class:`~repro.batch.kernel.GranularKernel` executes whole instants as
-array passes and ``protocol_of`` returns a
-:class:`~repro.batch.kernel.KernelProtocolView` with the protocol's
-read/queue surface.
+Every other swarm is refused with :class:`~repro.errors.ModelError`;
+:func:`repro.batch.make_simulator` runs such swarms on the scalar
+engine instead (:func:`repro.batch.supports` says which one it picks).
 
-**Object mode** — every other swarm.  Protocols are bound and activated
-exactly like the scalar engine (same objects, same call order, same
-exceptions), but observations are built from the array state with one
-vectorized transform per activation instead of ``n`` scalar ones, and
-reused wholesale while the configuration epoch stands still.
-
-Both modes produce traces **bit-identical** to the scalar engine for
-the same robots, scheduler and seed — that equivalence is enforced by
-the ``backend`` axis of the :mod:`repro.verify.differential` oracle
-across the full protocol x scheduler matrix.
+Traces are **bit-identical** to the scalar engine for the same robots,
+scheduler and seed — that equivalence is enforced by the ``backend``
+axis of the :mod:`repro.verify.differential` oracle over every matrix
+cell the kernel can host.
 
 Trace recording is the other big scalar cost at 100k robots: a
 :class:`TraceStep` materialises ``n`` ``Vec2`` objects per instant.
@@ -42,35 +38,18 @@ from repro.batch.arrays import SwarmArrays
 from repro.batch.geometry import BatchGeometry
 from repro.batch.kernel import (
     DEFAULT_OVERHEARD_LIMIT,
+    KERNEL_ENVELOPE,
     GranularKernel,
-    KernelProtocolView,
     kernel_eligible,
 )
 from repro.errors import ModelError, SchedulerError
 from repro.geometry.vec import Vec2
-from repro.model.observation import Observation, ObservedRobot
-from repro.model.protocol import BindingInfo
 from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler, SynchronousScheduler
 from repro.model.trace import Trace, TracePolicy, TraceStep
 from repro.perf.counters import PerfStats
 
-__all__ = ["BatchSimulator", "BatchTrace", "swarm_supported"]
-
-
-def swarm_supported(robots: Sequence[Robot]) -> bool:
-    """Whether the batch backend can host this swarm.
-
-    The batch engine implements the paper's base model (full
-    visibility, continuous plane); any nonempty swarm of plain
-    :class:`~repro.model.robot.Robot` specs runs — conforming
-    granular swarms in kernel mode, everything else in object mode.
-    Model *variants* — look policies (``look=``: stale looks, sensing
-    noise), ``visibility_radius`` and the lattice worlds — are scalar
-    engine options (or, for lattices, a scalar subclass) with no batch
-    port yet.
-    """
-    return len(robots) > 0
+__all__ = ["BatchSimulator", "BatchTrace"]
 
 
 class BatchTrace(Trace):
@@ -127,100 +106,24 @@ class BatchTrace(Trace):
         return super().positions_at(time)
 
 
-class _ObjectCore:
-    """Object-mode execution: scalar protocols over array state."""
-
-    def __init__(self, sim: "BatchSimulator") -> None:
-        self._sim = sim
-        arrays = sim._arrays
-        ids = sim._observed_ids
-        self._obs_cache: List[Optional[Tuple[int, tuple, dict]]] = [None] * arrays.n
-        for index, robot in enumerate(sim._robots):
-            lx, ly = arrays.to_local_columns(index, arrays.ax, arrays.ay)
-            initial_local = tuple(
-                Vec2(float(x), float(y)) for x, y in zip(lx, ly)
-            )
-            robot.protocol.bind(
-                BindingInfo(
-                    index=index,
-                    count=arrays.n,
-                    sigma=robot.sigma / robot.frame.scale,
-                    initial_positions=initial_local,
-                    observable_ids=sim._observable_ids,
-                    visibility_radius=None,
-                )
-            )
-
-    def compute(self, now: int, active_arr, hook) -> Dict[int, Vec2]:
-        sim = self._sim
-        arrays = sim._arrays
-        new_positions: Dict[int, Vec2] = {}
-        for index in active_arr.tolist():
-            robot = sim._robots[index]
-            if hook is not None:
-                hook("compute.observe", now)
-            observation = self._observe(index)
-            if hook is not None:
-                hook("compute.decide", now)
-            local_target = robot.protocol.on_activate(observation)
-            world_target = robot.frame.to_world(local_target, arrays.anchor(index))
-            clamped = arrays.position(index).clamped_toward(
-                world_target, robot.sigma
-            )
-            new_positions[index] = clamped
-        return new_positions
-
-    def _observe(self, index: int) -> Observation:
-        sim = self._sim
-        if sim._caching:
-            entry = self._obs_cache[index]
-            if entry is not None and entry[0] == sim._epoch:
-                sim._stats.cache_hits += 1
-                sim._stats.observations_reused += len(entry[1])
-                return Observation(
-                    time=sim._time,
-                    self_index=index,
-                    robots=entry[1],
-                    _by_index=entry[2],
-                )
-            sim._stats.cache_misses += 1
-        observed = self._build(index)
-        index_map = {r.index: r.position for r in observed}
-        sim._stats.observations_built += len(observed)
-        if sim._caching:
-            self._obs_cache[index] = (sim._epoch, observed, index_map)
-        return Observation(
-            time=sim._time, self_index=index, robots=observed, _by_index=index_map
-        )
-
-    def _build(self, index: int) -> tuple:
-        sim = self._sim
-        arrays = sim._arrays
-        lx, ly = arrays.to_local_columns(index, arrays.px, arrays.py)
-        ids = sim._observed_ids
-        return tuple(
-            ObservedRobot(
-                index=i,
-                position=Vec2(float(x), float(y)),
-                observable_id=ids[i],
-            )
-            for i, (x, y) in enumerate(zip(lx, ly))
-        )
-
-
 class BatchSimulator:
     """Array-backed SSM engine with the scalar ``Simulator`` surface.
 
     Args:
         robots: the swarm; same validation rules (and error messages)
-            as the scalar constructor.
+            as the scalar constructor, and it must lie in the kernel's
+            envelope (:func:`~repro.batch.kernel.kernel_eligible`).
         scheduler: activation policy; defaults to fully synchronous.
-        caching: enable epoch-based reuse (observation snapshots,
-            geometry memo).  Results never depend on it.
+        caching: enable the epoch-memoised geometry.  Results never
+            depend on it.
         trace_policy: trace retention; pair large swarms with a stride
             so recording stays array-speed (see :class:`BatchTrace`).
-        overheard_limit: swarm size up to which kernel-mode per-robot
+        overheard_limit: swarm size up to which per-robot
             ``overheard`` logs are maintained.
+
+    Raises:
+        ModelError: on the scalar constructor's input errors, or when
+            the swarm is outside the kernel's envelope.
     """
 
     backend = "batch"
@@ -250,24 +153,23 @@ class BatchSimulator:
                 )
             seen[p] = i
         ids = [r.observable_id for r in robots]
-        self._identified = all(v is not None for v in ids)
-        if not self._identified and any(v is not None for v in ids):
+        identified = all(v is not None for v in ids)
+        if not identified and any(v is not None for v in ids):
             raise ModelError(
                 "either every robot has an observable_id (identified system) "
                 "or none does (anonymous system)"
             )
-        if self._identified and len(set(ids)) != len(ids):
+        if identified and len(set(ids)) != len(ids):
             raise ModelError("observable ids must be pairwise distinct")
+        if not kernel_eligible(robots):
+            raise ModelError(
+                "the batch kernel cannot host this swarm: it runs "
+                f"{KERNEL_ENVELOPE}; build it with the scalar Simulator"
+            )
 
         self._robots = list(robots)
         self._scheduler = (
             scheduler if scheduler is not None else SynchronousScheduler()
-        )
-        self._observable_ids: Optional[Tuple[int, ...]] = (
-            tuple(ids) if self._identified else None
-        )
-        self._observed_ids: Tuple[Optional[int], ...] = (
-            tuple(ids) if self._identified else (None,) * len(self._robots)
         )
         self._arrays = SwarmArrays(self._robots)
         self._caching = bool(caching)
@@ -284,14 +186,9 @@ class BatchSimulator:
         self._fault_listeners: List[Callable] = []
         self._phase_hook: Optional[Callable[[str, int], None]] = None
 
-        self._kernel: Optional[GranularKernel] = None
-        self._object: Optional[_ObjectCore] = None
-        if kernel_eligible(self._robots):
-            self._kernel = GranularKernel(
-                self._robots, self._arrays, self._stats, overheard_limit
-            )
-        else:
-            self._object = _ObjectCore(self)
+        self._kernel = GranularKernel(
+            self._robots, self._arrays, self._stats, overheard_limit
+        )
 
         # A synchronous schedule is stateless and activates everyone:
         # resolve it once instead of building an n-element frozenset
@@ -344,8 +241,8 @@ class BatchSimulator:
 
     @property
     def mode(self) -> str:
-        """``"kernel"`` (vectorized granular) or ``"object"``."""
-        return "kernel" if self._kernel is not None else "object"
+        """Always ``"kernel"``: every instant runs as array passes."""
+        return "kernel"
 
     @property
     def geometry(self) -> BatchGeometry:
@@ -357,15 +254,12 @@ class BatchSimulator:
     def protocol_of(self, index: int):
         """Robot ``index``'s protocol surface.
 
-        In object mode this is the bound protocol instance itself; in
-        kernel mode a :class:`KernelProtocolView` with the same
-        read/queue API.
+        A :class:`~repro.batch.kernel.KernelProtocolView` with the
+        read/queue API of the protocol instance it stands in for.
         """
-        if self._kernel is not None:
-            if not (0 <= index < self.count):
-                raise IndexError(index)
-            return self._kernel.view(index)
-        return self._robots[index].protocol
+        if not (0 <= index < self.count):
+            raise IndexError(index)
+        return self._kernel.view(index)
 
     # ------------------------------------------------------------------
     # Listeners / hooks
@@ -390,10 +284,10 @@ class BatchSimulator:
         """Install (or clear) the phase-boundary hook.
 
         Fires the same top-level phases as the scalar engine
-        (``schedule``/``compute``/``move``/``record``/``end``).  The
-        per-robot dotted sub-phases fire in object mode only — kernel
-        mode has no per-robot compute loop to attribute them to.
-        Returns the previously installed hook.
+        (``schedule``/``compute``/``move``/``record``/``end``), but
+        not the scalar engine's per-robot dotted sub-phases: the kernel
+        has no per-robot compute loop to attribute them to.  Returns
+        the previously installed hook.
         """
         previous = self._phase_hook
         self._phase_hook = hook
@@ -432,17 +326,11 @@ class BatchSimulator:
         active, active_arr = self._activations()
         if hook is not None:
             hook("compute", now)
-        if self._kernel is not None:
-            self._kernel.decode(now, active_arr)
-            moves = self._kernel.compute_moves(active_arr)
-            if hook is not None:
-                hook("move", now)
-            self._apply_kernel_moves(*moves)
-        else:
-            new_positions = self._object.compute(now, active_arr, hook)
-            if hook is not None:
-                hook("move", now)
-            self._apply_object_moves(new_positions)
+        self._kernel.decode(now, active_arr)
+        moves = self._kernel.compute_moves(active_arr)
+        if hook is not None:
+            hook("move", now)
+        self._apply_kernel_moves(*moves)
 
         if hook is not None:
             hook("record", now)
@@ -504,31 +392,16 @@ class BatchSimulator:
         for j in engaged_moved:
             arrays.pos_epoch[j] = self._epoch
 
-    def _apply_object_moves(self, new_positions: Dict[int, Vec2]) -> None:
-        arrays = self._arrays
-        moved = [
-            index
-            for index, position in new_positions.items()
-            if position != arrays.position(index)
-        ]
-        for index, position in new_positions.items():
-            arrays.px[index] = position.x
-            arrays.py[index] = position.y
-        if moved:
-            self._epoch += 1
-            for index in moved:
-                arrays.pos_epoch[index] = self._epoch
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
     def displace(self, index: int, position: Vec2) -> None:
         """Teleport a robot out-of-band — a *transient fault*.
 
-        Same semantics and error messages as the scalar engine; in
-        kernel mode the decode pipeline additionally switches the robot
-        onto the per-observer classification path until it is back on
-        its home point.
+        Same semantics and error messages as the scalar engine; the
+        kernel's decode pipeline additionally switches the robot onto
+        the per-observer classification path until it is back on its
+        home point.
         """
         if not (0 <= index < self.count):
             raise ModelError(f"unknown robot {index}")
@@ -543,7 +416,6 @@ class BatchSimulator:
         arrays.py[index] = position.y
         self._epoch += 1
         arrays.pos_epoch[index] = self._epoch
-        if self._kernel is not None:
-            self._kernel.notify_displaced(index)
+        self._kernel.notify_displaced(index)
         for listener in self._fault_listeners:
             listener(self, index, old, position)

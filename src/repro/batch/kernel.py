@@ -65,12 +65,25 @@ from repro.geometry.vec import Vec2
 from repro.model.protocol import BindingInfo, BitEvent
 from repro.protocols.sync_granular import SyncGranularProtocol
 
-__all__ = ["GranularKernel", "KernelProtocolView", "kernel_eligible"]
+__all__ = [
+    "KERNEL_ENVELOPE",
+    "GranularKernel",
+    "KernelProtocolView",
+    "kernel_eligible",
+]
 
 #: beyond this swarm size the per-observer overheard logs are disabled
 DEFAULT_OVERHEARD_LIMIT = 4096
 
 _NORTH = Vec2(0.0, 1.0)
+
+#: The swarms :func:`kernel_eligible` accepts, in one phrase for the
+#: refusals and skips that cite it.
+KERNEL_ENVELOPE = (
+    "swarms of two or more robots that all run the plain "
+    "SyncGranularProtocol, not a subclass, with one shared configuration "
+    "and right-handed frames that are rotation-free unless naming='sec'"
+)
 
 
 def kernel_eligible(robots: Sequence) -> bool:
@@ -79,8 +92,10 @@ def kernel_eligible(robots: Sequence) -> bool:
     Requires the plain :class:`SyncGranularProtocol` (no subclass) with
     one shared configuration, right-handed frames, and either rotation-
     free frames (the sense-of-direction regimes the ``identified`` and
-    ``sod`` namings assume) or the rotation-invariant ``sec`` naming.
-    Ineligible swarms run in the object-mode batch pipeline instead.
+    ``sod`` namings assume) or the rotation-invariant ``sec`` naming
+    (:data:`KERNEL_ENVELOPE`).  :class:`~repro.batch.engine.
+    BatchSimulator` refuses every other swarm, and
+    :func:`repro.batch.make_simulator` runs it on the scalar engine.
     """
     if len(robots) < 2:
         return False

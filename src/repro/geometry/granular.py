@@ -19,7 +19,7 @@ screen-clockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from repro.errors import AmbiguousDirectionError
@@ -64,6 +64,8 @@ class Granular:
     num_diameters: int
     zero_direction: Vec2
     sweep: int = -1
+    #: ``zero_direction.angle()``, computed once for :meth:`classify`.
+    _zero_angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
@@ -79,6 +81,7 @@ class Granular:
             raise ValueError("zero_direction must be nonzero")
         if not math.isclose(norm, 1.0, abs_tol=1e-12):
             object.__setattr__(self, "zero_direction", self.zero_direction / norm)
+        object.__setattr__(self, "_zero_angle", self.zero_direction.angle())
 
     # ------------------------------------------------------------------
     # Geometry of the labelled diameters
@@ -148,16 +151,18 @@ class Granular:
         offset = point - self.center
         if offset.norm() <= eps:
             raise AmbiguousDirectionError("point coincides with the granular centre")
+        slice_angle = self.slice_angle
         if angle_tolerance is None:
-            angle_tolerance = self.slice_angle / 4.0
+            angle_tolerance = slice_angle / 4.0
 
         # Sweep angle from the zero direction, measured in the sweep
         # direction, in [0, 2*pi).
-        raw = offset.angle() - self.zero_direction.angle()
+        raw = offset.angle() - self._zero_angle
         swept = normalize_angle_positive(self.sweep * raw)
 
-        index = round(swept / self.slice_angle) % (2 * self.num_diameters)
-        deviation = abs(swept - round(swept / self.slice_angle) * self.slice_angle)
+        nearest = round(swept / slice_angle)
+        index = nearest % (2 * self.num_diameters)
+        deviation = abs(swept - nearest * slice_angle)
         if deviation > angle_tolerance:
             raise AmbiguousDirectionError(
                 f"direction deviates {deviation:.4f} rad from the nearest "

@@ -22,13 +22,14 @@ metrics operate on whatever was retained.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.geometry.vec import Vec2
 
-__all__ = ["TraceStep", "Trace", "TracePolicy"]
+__all__ = ["TraceStep", "Trace", "TracePolicy", "trace_crc"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,3 +223,31 @@ def bounding_box(points: Sequence[Vec2]) -> Tuple[Vec2, Vec2]:
         Vec2(min(p.x for p in points), min(p.y for p in points)),
         Vec2(max(p.x for p in points), max(p.y for p in points)),
     )
+
+
+def trace_crc(sim) -> str:
+    """CRC32 over a simulator's retained trace and received bits.
+
+    The blobs are the ``repr`` of each retained step's time, sorted
+    activation set and exact ``(x, y)`` coordinates, then of every
+    robot's received bit events in robot order.  Two runs with equal
+    CRCs took the same trajectory and decoded the same traffic.
+    ``sim`` is any engine with the scalar surface (``trace``,
+    ``count``, ``protocol_of``).
+    """
+    crc = 0
+    for step in sim.trace.steps:
+        blob = repr(
+            (
+                step.time,
+                tuple(sorted(step.active)),
+                tuple((p.x, p.y) for p in step.positions),
+            )
+        )
+        crc = zlib.crc32(blob.encode("ascii"), crc)
+    for i in range(sim.count):
+        for e in sim.protocol_of(i).received:
+            crc = zlib.crc32(
+                repr((i, e.time, e.src, e.dst, e.bit)).encode("ascii"), crc
+            )
+    return format(crc, "08x")

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.harness import SwarmHarness, ring_positions
 from repro.errors import ServeError
 from repro.geometry.vec import Vec2
+from repro.model.trace import trace_crc
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.protocols.sync_two import SyncTwoProtocol
 
@@ -488,31 +488,12 @@ class Session:
         return {**self.status_doc(), **self.driver.summary(self)}
 
     def trace_crc(self) -> str:
-        """CRC32 over the trace and received-bit fingerprints.
+        """The session's run fingerprint (:func:`repro.model.trace.trace_crc`).
 
-        The same fingerprint vocabulary the verification oracles diff
-        on (:mod:`repro.verify.engine`): retained trace steps with
-        their activation sets and positions, plus every robot's
-        received bit stream.  Two sessions with equal CRCs took the
-        same trajectory and decoded the same traffic.
+        Two sessions with equal CRCs took the same trajectory and
+        decoded the same traffic.
         """
-        sim = self.harness.simulator
-        crc = 0
-        for step in sim.trace.steps:
-            blob = repr(
-                (
-                    step.time,
-                    tuple(sorted(step.active)),
-                    tuple((p.x, p.y) for p in step.positions),
-                )
-            )
-            crc = zlib.crc32(blob.encode("ascii"), crc)
-        for i in range(sim.count):
-            for e in sim.protocol_of(i).received:
-                crc = zlib.crc32(
-                    repr((i, e.time, e.src, e.dst, e.bit)).encode("ascii"), crc
-                )
-        return format(crc, "08x")
+        return trace_crc(self.harness.simulator)
 
     # -- checkpoint / restore ------------------------------------------
     def checkpoint(self) -> Dict[str, object]:

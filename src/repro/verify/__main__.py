@@ -77,8 +77,9 @@ def _parser() -> argparse.ArgumentParser:
     oracles = parser.add_mutually_exclusive_group()
     oracles.add_argument(
         "--backend-oracle", action="store_true",
-        help="differential oracle: every cell run on both the scalar and "
-             "the batch backend from the same seed must be bit-identical "
+        help="differential oracle: every cell the batch kernel hosts, run "
+             "on both the scalar and the batch backend from the same seed, "
+             "must be bit-identical; the other cells are counted skips "
              "(requires numpy; exits 0 with a notice when it is absent)",
     )
     oracles.add_argument(
@@ -134,8 +135,8 @@ def _do_list() -> int:
     for (p, s), reason in sorted(SKIPS.items()):
         print(f"  {p:14s} x {s:15s} {reason}")
     print(
-        "\ndifferential oracle skips (backend = --backend-oracle, "
-        "engine = --event-oracle; counted in each report):"
+        "\ndifferential oracle skips by adversary or protocol (backend = "
+        "--backend-oracle, engine = --event-oracle; counted in each report):"
     )
     for (axis, s), reason in sorted(ORACLE_SKIPS.items()):
         print(f"  {axis:14s} x {s:15s} {reason}")

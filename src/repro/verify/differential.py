@@ -7,7 +7,8 @@ activation sets, bit events), epochs and monitor verdicts:
 
 * the ``backend`` axis — the reference scalar
   :class:`~repro.model.simulator.Simulator` against the batch backend
-  (:mod:`repro.batch`);
+  (:mod:`repro.batch`), on the cells whose swarms lie in the batch
+  kernel's envelope (:data:`KERNEL_PROTOCOLS`);
 * the ``engine`` axis — the classic round engine against the event
   engine (:mod:`repro.events`) in round-emulation mode (scheduler
   driven, every phase lasts one unit, zero observation delay).
@@ -26,11 +27,12 @@ message — the variants promise exception parity at the raise instant.
 
 1. the **matrix arm** — every executable ``(protocol, adversary)``
    cell that has a twin on the axis (:data:`ORACLE_SKIPS` lists the
-   ones that do not, with the reason; each is counted as a skip);
-2. the **fair-async arm** — every protocol's ``synchronous`` cell
-   re-run under a seeded
-   :class:`~repro.model.scheduler.FairAsynchronousScheduler`, so all
-   six protocols are also diffed under genuinely partial activation
+   adversaries and protocols that do not, with the reason; each
+   skipped cell is counted once);
+2. the **fair-async arm** — the ``synchronous`` cell of every
+   protocol the matrix arm compared, re-run under a seeded
+   :class:`~repro.model.scheduler.FairAsynchronousScheduler`, so each
+   compared protocol is also diffed under genuinely partial activation
    (each twin gets its own scheduler instance built from the same
    seed, hence the identical activation sequence).
 
@@ -44,11 +46,13 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.batch.kernel import KERNEL_ENVELOPE
 from repro.model.scheduler import FairAsynchronousScheduler, Scheduler
 from repro.verify.engine import SweepReport, diff_runs, drive
 from repro.verify.monitors import attach
 from repro.verify.scenarios import (
     EVENT_ADVERSARIES,
+    PROTOCOLS,
     Cell,
     ScenarioRun,
     build_run,
@@ -58,12 +62,14 @@ from repro.verify.scenarios import (
 
 __all__ = [
     "AXES",
+    "KERNEL_PROTOCOLS",
     "ORACLE_SKIPS",
     "DiffReport",
     "DiffResult",
     "Twin",
     "compare",
     "run_differential",
+    "skip_reason",
 ]
 
 
@@ -87,15 +93,35 @@ _EVENT_ONLY = (
     "timing or an observation-delay model); it has no twin on this axis"
 )
 
-#: Cells an axis cannot twin, keyed ``(axis, adversary)``, with the
-#: reason — reported as skips, exactly like the matrix's own ``SKIPS``.
+#: The matrix protocols whose swarms the batch kernel hosts
+#: (:func:`repro.batch.kernel.kernel_eligible`).
+KERNEL_PROTOCOLS: Tuple[str, ...] = ("sync_granular",)
+
+_OFF_KERNEL = (
+    f"the batch kernel runs only {KERNEL_ENVELOPE}; make_simulator puts "
+    "this protocol on the scalar engine under either backend"
+)
+
+#: Cells an axis cannot twin, keyed ``(axis, adversary)`` or
+#: ``(axis, protocol)``, with the reason — reported as skips, exactly
+#: like the matrix's own ``SKIPS``.  :func:`skip_reason` looks the
+#: adversary up first.
 ORACLE_SKIPS: Dict[Tuple[str, str], str] = {
     ("backend", "worst_stale"): (
         "the stale-look adversary is a look policy (per-robot Look "
         "snapshots); the batch backend does not run look policies"
     ),
     **{(axis, adv): _EVENT_ONLY for axis in AXES for adv in EVENT_ADVERSARIES},
+    **{("backend", p): _OFF_KERNEL for p in PROTOCOLS if p not in KERNEL_PROTOCOLS},
 }
+
+
+def skip_reason(axis: str, cell: Cell) -> Optional[str]:
+    """Why ``axis`` cannot twin ``cell``, or ``None`` when it can."""
+    reason = ORACLE_SKIPS.get((axis, cell.scheduler))
+    if reason is None:
+        reason = ORACLE_SKIPS.get((axis, cell.protocol))
+    return reason
 
 
 def _fair_async_factory(seed: int) -> Callable[[], Scheduler]:
@@ -266,8 +292,9 @@ def run_differential(
     — check :func:`repro.batch.available` first to skip cleanly without
     it.  With ``fair_async`` (the default), every matching
     ``synchronous`` cell is additionally compared under a seeded
-    fair-asynchronous scheduler, so all protocols are exercised under
-    partial activation.
+    fair-asynchronous scheduler, so every compared protocol is
+    exercised under partial activation.  A skipped ``synchronous``
+    cell is skipped in both arms and counted once.
     """
     a, b = AXES[axis]
     report = DiffReport(skipped=matrix_skips(protocols, schedulers))
@@ -277,16 +304,17 @@ def run_differential(
         if progress is not None:
             progress(result)
 
-    cells = cells_for(protocols, schedulers)
-    for cell in cells:
-        reason = ORACLE_SKIPS.get((axis, cell.scheduler))
+    compared: List[Cell] = []
+    for cell in cells_for(protocols, schedulers):
+        reason = skip_reason(axis, cell)
         if reason is not None:
             report.skipped.append((cell.protocol, cell.scheduler, reason))
             continue
+        compared.append(cell)
         for seed in seeds:
             record(compare(cell, seed, a, b, quick=quick))
     if fair_async:
-        for cell in cells:
+        for cell in compared:
             if cell.scheduler != "synchronous":
                 continue
             for seed in seeds:

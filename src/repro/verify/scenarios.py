@@ -513,7 +513,10 @@ def build_run(
     ``"batch"``); every RNG draw happens before the simulator is
     constructed, so the two backends see the identical scenario — that
     is what makes :mod:`repro.verify.differential` a differential
-    oracle.  ``engine`` selects ``"rounds"`` (the classic
+    oracle.  ``"batch"`` always builds the
+    :class:`~repro.batch.engine.BatchSimulator`, which raises
+    :class:`ModelError` for a swarm outside the kernel's envelope: a
+    batch run never falls back to the scalar engine unseen.  ``engine`` selects ``"rounds"`` (the classic
     instant-stepped engine) or ``"events"`` (the event engine in
     round-emulation mode: unit phase durations, zero delay) — the
     oracle's other axis.  The ``event_*`` adversary cells are

@@ -48,15 +48,20 @@ def twin_sims(
     scheduler_factory: Optional[Callable[[], Scheduler]] = None,
     sigma: float = 12.0,
     positions: Optional[List[Vec2]] = None,
+    batch: Optional[Callable] = None,
 ):
     """Build the same swarm twice: a scalar and a batch simulator.
 
     Both swarms are constructed from identical, freshly-drawn robots
     (each simulator needs its own protocol instances), so any observable
-    difference between the two runs is a backend bug.
+    difference between the two runs is a backend bug.  ``batch`` builds
+    the second simulator from ``(robots, scheduler)``; the default is
+    :class:`~repro.batch.engine.BatchSimulator`.
     """
     from repro.batch.engine import BatchSimulator
 
+    if batch is None:
+        batch = BatchSimulator
     rng = random.Random(seed)
     pts = positions if positions is not None else scatter(rng, count)
     frames = make_frames(len(pts), regime, seed=seed)
@@ -74,7 +79,7 @@ def twin_sims(
         ]
 
     sched = scheduler_factory if scheduler_factory is not None else SynchronousScheduler
-    return Simulator(robots(), sched()), BatchSimulator(robots(), sched()), pts
+    return Simulator(robots(), sched()), batch(robots(), sched()), pts
 
 
 def assert_lockstep(

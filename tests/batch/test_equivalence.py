@@ -1,13 +1,15 @@
 """Scalar-vs-batch trace equivalence: the whole protocol zoo.
 
-Seeded property tests: the same swarm driven by the scalar
-:class:`~repro.model.simulator.Simulator` and by
-:class:`~repro.batch.engine.BatchSimulator` must be byte-identical —
-positions, activation sets, received and overheard bit streams,
-activation counts and configuration epochs — under both the
-synchronous and the fair-asynchronous scheduler, for all six
-protocols.  The ``repro.verify`` differential oracle sweeps the full
-adversary matrix; these tests are its fast, always-on arm.
+Seeded property tests: the same swarm built with ``backend="scalar"``
+and ``backend="batch"`` must be byte-identical — positions, activation
+sets, received and overheard bit streams, activation counts and
+configuration epochs — under both the synchronous and the
+fair-asynchronous scheduler, for all six protocols.  Granular swarms
+run on the :class:`~repro.batch.engine.BatchSimulator` kernel; every
+other protocol is outside the kernel's envelope, so
+``make_simulator(backend="batch")`` must hand it to the scalar engine.
+The ``repro.verify`` differential oracle sweeps the kernel's cells of
+the adversary matrix; these tests are its fast, always-on arm.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import random
 
 import pytest
 
+import repro.batch
 from repro.geometry.vec import Vec2
 from repro.model.scheduler import FairAsynchronousScheduler, SynchronousScheduler
+from repro.model.simulator import Simulator
 from repro.protocols.async_n import AsyncNProtocol
 from repro.protocols.async_two import AsyncTwoProtocol
 from repro.protocols.flocking import FlockingProtocol
@@ -32,6 +36,15 @@ SCHEDULERS = {
     "sync": SynchronousScheduler,
     "fair_async": lambda: FairAsynchronousScheduler(seed=42),
 }
+
+
+def _batch_backend(robots, scheduler):
+    return repro.batch.make_simulator(robots, scheduler, backend="batch")
+
+
+def _assert_scalar_fallback(batched) -> None:
+    assert type(batched) is Simulator
+    assert repro.batch.supports(batched.robots) is False
 
 
 def _pair_positions(rng: random.Random):
@@ -89,8 +102,9 @@ def test_pair_protocol_equivalence(name, factory, seed, sched):
         positions=positions,
         sigma=sigma,
         scheduler_factory=SCHEDULERS[sched],
+        batch=_batch_backend,
     )
-    assert batched.mode == "object"
+    _assert_scalar_fallback(batched)
     for sim in (scalar, batched):
         sim.protocol_of(0).send_bits(1, [1, 0, 1])
     assert_lockstep(scalar, batched, 150)
@@ -128,26 +142,43 @@ def test_swarm_protocol_equivalence(name, regime, identified, factory, seed, sch
         regime=regime,
         identified=identified,
         scheduler_factory=SCHEDULERS[sched],
+        batch=_batch_backend,
     )
-    assert batched.mode == "object"
+    _assert_scalar_fallback(batched)
     for sim in (scalar, batched):
         sim.protocol_of(0).send_bits(2, [1, 0])
     assert_lockstep(scalar, batched, 200)
 
 
 def test_backend_oracle_cells_quick():
-    """The packaged differential oracle agrees on a matrix sample."""
-    from repro.verify.differential import AXES, compare, run_differential
+    """The packaged differential oracle agrees on the kernel's cells
+    and counts every other protocol's cells as skips."""
+    from repro.verify.differential import (
+        AXES,
+        compare,
+        run_differential,
+        skip_reason,
+    )
     from repro.verify.scenarios import CELLS
 
-    for key in (("sync_granular", "synchronous"), ("async_n", "displacement")):
-        result = compare(CELLS[key], 0, *AXES["backend"], quick=True)
-        assert result.ok, (result.problems, result.error)
+    result = compare(
+        CELLS[("sync_granular", "displacement")], 0, *AXES["backend"], quick=True
+    )
+    assert result.ok, (result.problems, result.error)
 
     report = run_differential(
-        "backend", ["sync_two"], ["synchronous"], seeds=range(2), quick=True
+        "backend", ["sync_granular"], ["synchronous"], seeds=range(2), quick=True
     )
     assert report.ok
     assert len(report.results) == 4  # 2 matrix + 2 fair-async comparisons
     variants = {r.variant for r in report.results}
     assert variants == {"matrix", "fair_async"}
+
+    for protocol, adversary in (("sync_two", "synchronous"), ("async_n", "displacement")):
+        report = run_differential(
+            "backend", [protocol], [adversary], seeds=range(2), quick=True
+        )
+        reason = skip_reason("backend", CELLS[(protocol, adversary)])
+        assert "batch kernel runs only" in reason
+        assert report.results == []  # neither arm compares an off-kernel cell
+        assert report.skipped == [(protocol, adversary, reason)]

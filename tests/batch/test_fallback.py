@@ -87,6 +87,7 @@ def test_scalar_backend_never_touches_numpy(no_numpy):
 def test_make_simulator_batch_selects_batch_engine():
     from repro.batch.engine import BatchSimulator
 
+    assert repro.batch.supports(_swarm()) is True
     sim = repro.batch.make_simulator(_swarm(), backend="batch")
     assert type(sim) is BatchSimulator
     assert sim.mode == "kernel"

@@ -1,11 +1,12 @@
 """Kernel-mode specifics: eligibility, faults, holds, counters, limits.
 
-The vectorized granular kernel only engages for exact
+The vectorized granular kernel only hosts exact
 :class:`~repro.protocols.sync_granular.SyncGranularProtocol` swarms in
-its envelope; everything else runs through the object core.  These
-tests pin the mode selection and the kernel's trickier parity paths
-(displacement faults, dilation holds, the overheard cap) plus the
-batch counters surfaced through ``repro.obs``.
+its envelope; ``BatchSimulator`` refuses everything else and
+``make_simulator`` runs it on the scalar engine.  These tests pin that
+selection and the kernel's trickier parity paths (displacement faults,
+dilation holds, the overheard cap) plus the batch counters surfaced
+through ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -59,32 +60,66 @@ def test_dilation_hold_parity(seed):
     assert_lockstep(scalar, batched, 60)
 
 
-def test_subclass_forces_object_mode():
-    class Tagged(SyncGranularProtocol):
-        """A subclass must not be captured by the vectorized kernel."""
-
-    _, batched, _ = twin_sims(0, 4, lambda: Tagged(naming="identified"))
-    assert batched.mode == "object"
+class _Tagged(SyncGranularProtocol):
+    """A subclass may override any hook the kernel bypasses."""
 
 
-def test_mixed_config_forces_object_mode():
-    from repro.batch.engine import BatchSimulator
-    from repro.geometry.frames import make_frames
+def _envelope_breach(kind: str):
+    """A fresh swarm that misses the kernel's envelope in one way."""
+    from repro.geometry.frames import Frame
 
-    frames = make_frames(4, "sense_of_direction", seed=0)
     positions = [Vec2(0.0, 0.0), Vec2(9.0, 0.0), Vec2(0.0, 9.0), Vec2(9.0, 9.0)]
-    robots = [
+    frames = [Frame(scale=1.0 + 0.25 * i) for i in range(len(positions))]
+    protocols = [SyncGranularProtocol() for _ in positions]
+    if kind == "subclass":
+        protocols = [_Tagged() for _ in positions]
+    elif kind == "mixed_config":
+        protocols[0] = SyncGranularProtocol(dilation=2)
+    elif kind == "left_handed":
+        frames[2] = Frame(scale=1.5, handedness=-1)
+    elif kind == "rotated_frames":
+        frames = [Frame(rotation=0.3 * (i + 1)) for i in range(len(positions))]
+        protocols = [SyncGranularProtocol(naming="sod") for _ in positions]
+    elif kind == "single_robot":
+        positions, frames, protocols = positions[:1], frames[:1], protocols[:1]
+    return [
         Robot(
             position=p,
-            protocol=SyncGranularProtocol(dilation=1 if i == 0 else 2),
+            protocol=protocols[i],
             frame=frames[i],
             sigma=2.0,
             observable_id=i,
         )
         for i, p in enumerate(positions)
     ]
-    batched = BatchSimulator(robots)
-    assert batched.mode == "object"
+
+
+BREACHES = ("subclass", "mixed_config", "left_handed", "rotated_frames", "single_robot")
+
+
+@pytest.mark.parametrize("kind", BREACHES)
+def test_kernel_refuses_out_of_envelope_swarm(kind):
+    from repro.batch.engine import BatchSimulator
+    from repro.errors import ModelError
+
+    with pytest.raises(ModelError, match="batch kernel cannot host this swarm"):
+        BatchSimulator(_envelope_breach(kind))
+
+
+@pytest.mark.parametrize("kind", BREACHES)
+def test_make_simulator_runs_out_of_envelope_swarm_on_scalar(kind):
+    import repro.batch
+
+    assert repro.batch.supports(_envelope_breach(kind)) is False
+    if kind == "single_robot":
+        # The scalar engine takes the swarm; the protocol refuses to bind.
+        with pytest.raises(ProtocolError, match="at least 2 robots"):
+            repro.batch.make_simulator(_envelope_breach(kind), backend="batch")
+    else:
+        sim = repro.batch.make_simulator(_envelope_breach(kind), backend="batch")
+        assert type(sim) is Simulator
+    with pytest.raises(ValueError, match="cannot host this swarm"):
+        repro.batch.make_simulator(_envelope_breach(kind), backend="batch", strict=True)
 
 
 def test_overheard_cap_raises_beyond_limit():

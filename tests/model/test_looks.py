@@ -12,8 +12,8 @@ Two promises of the one observation seam
   same squared-distance comparison, including exactly at the radius.
 
 The corpus lives in ``tests/verify/seeds.json`` under
-``look_policy_corpus``; each CRC follows the ``Session.trace_crc``
-recipe (retained trace steps, then every received bit).
+``look_policy_corpus``; each CRC is :func:`repro.model.trace.trace_crc`
+(retained trace steps, then every received bit).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-import zlib
 from typing import List, Tuple
 
 import pytest
@@ -36,6 +35,7 @@ from repro.geometry.vec import Vec2
 from repro.model.looks import SensingNoise, StaleLook
 from repro.model.robot import Robot
 from repro.model.simulator import Simulator
+from repro.model.trace import trace_crc
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.verify.adversaries import SawtoothStaleLook
 from repro.visibility.flooding import FloodRouter
@@ -57,24 +57,6 @@ def make_sim(engine: str, robots, **kwargs) -> Simulator:
     if engine == "events":
         return EventSimulator(robots, timing=TimingModel.round_emulation(), **kwargs)
     return Simulator(robots, **kwargs)
-
-
-def trace_crc(sim: Simulator) -> str:
-    """CRC32 over the retained trace steps, then every received bit."""
-    crc = 0
-    for step in sim.trace.steps:
-        blob = repr(
-            (
-                step.time,
-                tuple(sorted(step.active)),
-                tuple((p.x, p.y) for p in step.positions),
-            )
-        )
-        crc = zlib.crc32(blob.encode("ascii"), crc)
-    for i in range(sim.count):
-        for e in sim.protocol_of(i).received:
-            crc = zlib.crc32(repr((i, e.time, e.src, e.dst, e.bit)).encode("ascii"), crc)
-    return format(crc, "08x")
 
 
 def ring(dilation: int = 1, robust: bool = False) -> List[Robot]:

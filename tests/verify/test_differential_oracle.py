@@ -4,18 +4,25 @@ from __future__ import annotations
 
 import pytest
 
+import repro.batch
 import repro.verify.differential as differential
 from repro.errors import ModelError
 from repro.verify.__main__ import main
 from repro.verify.differential import (
     AXES,
+    KERNEL_PROTOCOLS,
     ORACLE_SKIPS,
     compare,
     run_differential,
 )
-from repro.verify.scenarios import CELLS
+from repro.verify.scenarios import CELLS, PROTOCOLS, build_run, cells_for
 
 pytestmark = pytest.mark.verify
+
+requires_numpy = pytest.mark.skipif(
+    not repro.batch.available(),
+    reason="batch backend needs numpy (install the [batch] extra)",
+)
 
 ROUNDS, EVENTS = AXES["engine"]
 
@@ -83,3 +90,32 @@ def test_list_prints_every_oracle_skip_with_its_reason(capsys):
             axis in line and adversary in line and reason in line
             for line in out.splitlines()
         ), (axis, adversary)
+
+
+@requires_numpy
+def test_backend_axis_compares_or_skips_every_cell_once():
+    report = run_differential("backend", seeds=range(1), quick=True)
+    assert report.ok
+    compared = [
+        (r.protocol, r.scheduler) for r in report.results if r.variant == "matrix"
+    ]
+    skipped = [(p, s) for p, s, _ in report.skipped if (p, s) in CELLS]
+    assert sorted(compared + skipped) == sorted(
+        (c.protocol, c.scheduler) for c in cells_for()
+    )
+    assert {p for p, _ in compared} == set(KERNEL_PROTOCOLS)
+    fair_async = [
+        (r.protocol, r.scheduler) for r in report.results if r.variant == "fair_async"
+    ]
+    assert fair_async == [(p, "synchronous") for p in KERNEL_PROTOCOLS]
+
+
+@requires_numpy
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_backend_skips_are_exactly_the_kernel_refusals(protocol):
+    cell = CELLS[(protocol, "synchronous")]
+    if protocol in KERNEL_PROTOCOLS:
+        assert build_run(cell, 0, quick=True, backend="batch").sim.mode == "kernel"
+    else:
+        with pytest.raises(ModelError, match="batch kernel cannot host this swarm"):
+            build_run(cell, 0, quick=True, backend="batch")
