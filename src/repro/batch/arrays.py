@@ -102,10 +102,6 @@ class SwarmArrays:
         px, py = self.px, self.py
         return tuple(Vec2(float(px[i]), float(py[i])) for i in range(self.n))
 
-    def stacked(self):
-        """Positions as an ``(n, 2)`` array copy (geometry input)."""
-        return self.np.column_stack((self.px, self.py))
-
     # ------------------------------------------------------------------
     # Vectorized transforms (exact scalar mirrors; see module docstring)
     # ------------------------------------------------------------------

@@ -7,6 +7,8 @@ subpackage makes runs observable without changing them:
 * :mod:`repro.obs.events` / :mod:`repro.obs.spans` — the structured
   event and span model (activation cycles, scheduler decisions,
   displacement faults, the bit lifecycle, monitor firings).
+  :class:`~repro.obs.spans.Span` is the one span record: model-time
+  activation and bit spans and the serving tier's request spans.
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges and
   deterministic-bucket histograms, labeled per protocol x scheduler;
   supersedes the ad-hoc :class:`~repro.perf.counters.PerfStats` block
@@ -15,7 +17,8 @@ subpackage makes runs observable without changing them:
   and records everything; **bit-transparent** (an instrumented run
   produces a byte-identical trace) and **zero-overhead when
   disabled** (no recorder => no dispatches; see
-  :func:`~repro.obs.recorder.dispatch_count`).
+  :func:`~repro.obs.recorder.dispatch_count`, the one dispatch
+  witness, which the request tracer bumps too).
 * :mod:`repro.obs.export` — versioned JSONL export (``repro-obs-v1``)
   with exact round-trips and line-numbered
   :class:`~repro.errors.TraceFormatError` diagnostics.
@@ -28,7 +31,9 @@ subpackage makes runs observable without changing them:
   median+MAD regression gating
   (``python -m repro.obs regress``).
 * :mod:`repro.obs.profiler` — deterministic self/total-time hotspot
-  tables over phase and bit spans (``python -m repro.obs hotspots``).
+  tables over phase and bit spans (``python -m repro.obs hotspots``);
+  :func:`~repro.obs.profiler.phase_hotspots` is the one fold over
+  ``phase`` events, which the report's profile view renders too.
 * :mod:`repro.obs.diff` — run and history-entry diffing with
   first-divergence localization (``python -m repro.obs diff``).
 * :mod:`repro.obs.causal` — happens-before DAGs from vector-clock
@@ -37,7 +42,9 @@ subpackage makes runs observable without changing them:
   causal``; swept by ``python -m repro.verify --causal-oracle``).
 * :mod:`repro.obs.stream` — the live tap: a bounded
   :class:`~repro.obs.stream.StreamingSink` the recorder tees into and
-  rolling per-flow latency percentiles (``python -m repro.obs watch``).
+  rolling per-flow latency percentiles (``python -m repro.obs watch``)
+  over :class:`~repro.obs.stream.RollingWindows`, the one keyed
+  rolling window (the request tracer's windows are the same class).
 * :mod:`repro.obs.live` / :mod:`repro.obs.slo` — the serving-tier
   plane: request-scoped traces with telescoping spans
   (:class:`~repro.obs.live.RequestTracer`), Prometheus text
@@ -63,14 +70,18 @@ from repro.obs.live import (
     RequestTrace,
     RequestTracer,
     TraceRing,
-    WindowAggregator,
     render_top,
     to_prometheus,
     validate_exposition,
 )
 from repro.obs.recorder import ObsRecorder, dispatch_count
 from repro.obs.slo import SLO, SLOTracker, default_serve_slos, slos_from_json
-from repro.obs.stream import FlowLatencyTracker, StreamingSink, watch_file
+from repro.obs.stream import (
+    FlowLatencyTracker,
+    RollingWindows,
+    StreamingSink,
+    watch_file,
+)
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -89,7 +100,7 @@ from repro.obs.history import (
 )
 from repro.obs.profiler import flow_hotspots, phase_hotspots, render_hotspots
 from repro.obs.report import render_report
-from repro.obs.spans import Span, activation_spans, bit_spans, phase_totals
+from repro.obs.spans import Span, activation_spans, bit_spans
 
 __all__ = [
     "Event",
@@ -118,7 +129,6 @@ __all__ = [
     "dispatch_count",
     "activation_spans",
     "bit_spans",
-    "phase_totals",
     "run_to_jsonl",
     "run_from_jsonl",
     "dump_run",
@@ -135,11 +145,11 @@ __all__ = [
     "causal_to_dot",
     "StreamingSink",
     "FlowLatencyTracker",
+    "RollingWindows",
     "watch_file",
     "RequestTrace",
     "RequestTracer",
     "TraceRing",
-    "WindowAggregator",
     "render_top",
     "to_prometheus",
     "validate_exposition",

@@ -3,24 +3,24 @@
 Post-mortem traces (:mod:`repro.obs.export`) and the causal DAG
 (:mod:`repro.obs.causal`) answer "what happened inside the swarm?";
 this module answers the operator's question — *what is the service
-doing to my request, right now?* — with four pieces:
+doing to my request, right now?* — with three pieces:
 
-* :class:`RequestTrace` / :class:`RequestSpan` — one trace per client
-  request, carrying a trace id, the op/app/session it belongs to, and
-  named spans (``queue-wait``, ``restore``, ``dispatch``,
-  ``execute``, ``reply``) whose durations telescope to the request's
-  client-observed latency, the same attribution discipline
-  :mod:`repro.obs.causal` enforces for bit flights.  A trace carries
-  its session id, so it joins the causal DAG of a recorded session
-  (``ObsRecorder(meta={"session": sid})``) on that key.
+* :class:`RequestTrace` — one trace per client request, carrying a
+  trace id, the op/app/session it belongs to, and named
+  :class:`~repro.obs.spans.Span` legs (``queue-wait``, ``restore``,
+  ``dispatch``, ``execute``, ``reply``) whose ``seconds`` telescope to
+  the request's client-observed latency, the same attribution
+  discipline :mod:`repro.obs.causal` enforces for bit flights.  A
+  trace carries its session id, so it joins the causal DAG of a
+  recorded session (``ObsRecorder(meta={"session": sid})``) on that
+  key.
 * :class:`TraceRing` — a bounded ring of completed traces (drop-oldest
   with a drop counter, the :class:`~repro.obs.stream.StreamingSink`
   discipline): the post-mortem buffer ``telemetry`` serves.
-* :class:`WindowAggregator` — rolling nearest-rank p50/p90/p99 per
-  ``op x app`` (and per span name), the live twin of
-  :class:`~repro.obs.stream.FlowLatencyTracker`.
 * :class:`RequestTracer` — the facade the serving layer drives:
-  ``start`` / ``finish`` feed the ring, the windows, the
+  ``start`` / ``finish`` feed the ring, two
+  :class:`~repro.obs.stream.RollingWindows` (rolling nearest-rank
+  p50/p90/p99 per ``op x app`` and per span name), the
   :class:`~repro.obs.slo.SLOTracker` and the metrics registry
   (``serve_requests_total{op,app,outcome}``,
   ``serve_request_latency_s{op,app}``,
@@ -35,8 +35,9 @@ reply.
 
 The whole plane honours the obs layer's zero-dispatch contract:
 constructing a :class:`~repro.serve.manager.SessionManager` without a
-tracer leaves every hook ``None`` and :func:`dispatch_count` frozen —
-enforced by ``tests/serve/test_tracing.py``.
+tracer leaves every hook ``None`` and the one dispatch witness,
+:func:`repro.obs.recorder.dispatch_count`, frozen — enforced by
+``tests/serve/test_tracing.py``.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.registry import MetricsRegistry
+# dispatch_count is re-exported: live.dispatch_count is the same witness
+from repro.obs.recorder import _bump, dispatch_count  # noqa: F401
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.obs.slo import SLOTracker, default_serve_slos
-from repro.obs.stream import percentile
+from repro.obs.spans import Span
+from repro.obs.stream import RollingWindows
 
 __all__ = [
-    "RequestSpan",
     "RequestTrace",
     "RequestTracer",
     "TraceRing",
-    "WindowAggregator",
-    "dispatch_count",
     "render_top",
     "to_prometheus",
     "validate_exposition",
@@ -70,48 +71,10 @@ REQUEST_LATENCY_BOUNDS: Tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
-#: process-wide count of request-tracer dispatches; stays frozen while
-#: no tracer is wired in (the zero-overhead-when-disabled witness,
-#: mirroring :func:`repro.obs.recorder.dispatch_count`).
-_dispatches = 0
-
-
-def dispatch_count() -> int:
-    """How many tracer dispatches happened in this process so far."""
-    return _dispatches
-
-
-def _bump() -> None:
-    global _dispatches
-    _dispatches += 1
-
 
 # ----------------------------------------------------------------------
-# Traces and spans
+# Traces
 # ----------------------------------------------------------------------
-
-class RequestSpan:
-    """One named, timed leg of a request (durations, not wall clocks)."""
-
-    __slots__ = ("name", "start", "end")
-
-    def __init__(self, name: str, start: float, end: float) -> None:
-        self.name = name
-        self.start = start
-        self.end = end
-
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
-    def to_json(self) -> Dict[str, object]:
-        """The JSON form of this span (for the telemetry payload)."""
-        return {"span": self.name, "start": self.start, "end": self.end,
-                "seconds": self.seconds}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging sugar
-        return f"RequestSpan({self.name!r}, {self.seconds:.6f}s)"
-
 
 class RequestTrace:
     """One client request, from admission to future resolution.
@@ -140,11 +103,11 @@ class RequestTrace:
         self.started = _time.perf_counter() if started is None else started
         self.ended: Optional[float] = None
         self.error: Optional[str] = None
-        self.spans: List[RequestSpan] = []
+        self.spans: List[Span] = []
 
     def add_span(self, name: str, start: float, end: float) -> None:
         """Record one attributed leg (clamped to non-negative)."""
-        self.spans.append(RequestSpan(name, start, max(start, end)))
+        self.spans.append(Span(name, start, max(start, end)))
 
     @property
     def seconds(self) -> float:
@@ -175,7 +138,11 @@ class RequestTrace:
             "app": self.app,
             "sid": self.sid,
             "seconds": self.seconds,
-            "spans": [span.to_json() for span in self.spans],
+            "spans": [
+                {"span": span.name, "start": span.start, "end": span.end,
+                 "seconds": span.seconds}
+                for span in self.spans
+            ],
         }
         if self.error is not None:
             doc["error"] = self.error
@@ -224,63 +191,24 @@ class TraceRing:
 
 
 # ----------------------------------------------------------------------
-# Rolling windows
-# ----------------------------------------------------------------------
-
-class WindowAggregator:
-    """Rolling per-key latency percentiles + error counts.
-
-    Keys are ``(op, app)`` pairs (the request windows) or bare span
-    names (the span windows) — anything hashable and sortable works.
-    """
-
-    def __init__(self, window: int = 512) -> None:
-        if window <= 0:
-            raise ObservabilityError("aggregator window must be positive")
-        self._window = window
-        self._latencies: Dict[Tuple[str, str], Deque[float]] = {}
-        self._count: Dict[Tuple[str, str], int] = {}
-        self._errors: Dict[Tuple[str, str], int] = {}
-
-    def observe(self, op: str, app: str, seconds: float,
-                error: bool = False) -> None:
-        """Fold one observation into its key's rolling window."""
-        key = (op, app)
-        window = self._latencies.get(key)
-        if window is None:
-            window = self._latencies[key] = deque(maxlen=self._window)
-        window.append(seconds)
-        self._count[key] = self._count.get(key, 0) + 1
-        if error:
-            self._errors[key] = self._errors.get(key, 0) + 1
-
-    def percentile(self, op: str, app: str, q: float) -> float:
-        """Nearest-rank percentile of one key's window (0.0 if empty)."""
-        return percentile(sorted(self._latencies.get((op, app), ())), q)
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        """One row per key: counts plus rolling p50/p90/p99 (seconds)."""
-        rows: List[Dict[str, object]] = []
-        for key in sorted(self._latencies):
-            sample = sorted(self._latencies[key])
-            rows.append(
-                {
-                    "op": key[0],
-                    "app": key[1],
-                    "count": self._count.get(key, 0),
-                    "errors": self._errors.get(key, 0),
-                    "window": len(sample),
-                    "p50": percentile(sample, 50),
-                    "p90": percentile(sample, 90),
-                    "p99": percentile(sample, 99),
-                }
-            )
-        return rows
-
-
-# ----------------------------------------------------------------------
 # The tracer
 # ----------------------------------------------------------------------
+
+def _window_rows(
+    windows: RollingWindows, errors: Mapping[Tuple[str, str], int]
+) -> List[Dict[str, object]]:
+    """Telemetry rows, one per ``(op, app)`` key of ``windows``."""
+    return [
+        {
+            "op": op,
+            "app": app,
+            "count": windows.count((op, app)),
+            "errors": errors.get((op, app), 0),
+            **windows.row((op, app)),
+        }
+        for op, app in windows.keys()
+    ]
+
 
 class RequestTracer:
     """The serving layer's request-scoped tracing facade.
@@ -301,10 +229,18 @@ class RequestTracer:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ring = TraceRing(ring_size)
-        self.requests = WindowAggregator(window)
-        self.spans = WindowAggregator(window)
+        # request windows are keyed (op, app), span windows (span, "*"):
+        # both render as the telemetry payload's op/app rows
+        self.requests = RollingWindows(window)
+        self.spans = RollingWindows(window)
         self.slo = SLOTracker(default_serve_slos() if slos is None else slos)
+        self._errors: Dict[Tuple[str, str], int] = {}
         self._ids = itertools.count(1)
+        # registry handles, resolved once per label set
+        self._request_series: Dict[
+            Tuple[str, str, bool], Tuple[Counter, Histogram]
+        ] = {}
+        self._span_series: Dict[str, Histogram] = {}
 
     def next_id(self) -> str:
         """A fresh service-generated trace id."""
@@ -335,36 +271,45 @@ class RequestTracer:
         _bump()
         trace.ended = _time.perf_counter() if ended is None else ended
         trace.error = error
-        app = trace.app or "?"
+        failed = error is not None
+        key = (trace.op, trace.app or "?")
         seconds = trace.seconds
         self.ring.add(trace)
-        self.requests.observe(trace.op, app, seconds, error=error is not None)
-        for span in trace.spans:
-            self.spans.observe(span.name, "*", span.seconds)
-        self.slo.observe(trace.op, seconds, error=error is not None)
-        outcome = "error" if error is not None else "ok"
-        self.registry.counter(
-            "serve_requests_total", op=trace.op, app=app, outcome=outcome
-        ).inc()
-        self.registry.histogram(
-            "serve_request_latency_s",
-            buckets=REQUEST_LATENCY_BOUNDS,
-            op=trace.op,
-            app=app,
-        ).observe(seconds)
+        self.requests.observe(key, seconds)
+        if failed:
+            self._errors[key] = self._errors.get(key, 0) + 1
+        self.slo.observe(trace.op, seconds, error=failed)
+        series = self._request_series.get(key + (failed,))
+        if series is None:
+            op, app = key
+            series = self._request_series[key + (failed,)] = (
+                self.registry.counter(
+                    "serve_requests_total", op=op, app=app,
+                    outcome="error" if failed else "ok",
+                ),
+                self.registry.histogram(
+                    "serve_request_latency_s",
+                    buckets=REQUEST_LATENCY_BOUNDS, op=op, app=app,
+                ),
+            )
+        series[0].inc()
+        series[1].observe(seconds)
         for name, total in trace.span_seconds().items():
-            self.registry.histogram(
-                "serve_span_seconds",
-                buckets=REQUEST_LATENCY_BOUNDS,
-                span=name,
-            ).observe(total)
+            self.spans.observe((name, "*"), total)
+            histogram = self._span_series.get(name)
+            if histogram is None:
+                histogram = self._span_series[name] = self.registry.histogram(
+                    "serve_span_seconds", buckets=REQUEST_LATENCY_BOUNDS,
+                    span=name,
+                )
+            histogram.observe(total)
         return trace
 
     def telemetry(self) -> Dict[str, object]:
         """The live dashboard payload (the ``telemetry`` wire op)."""
         return {
-            "requests": self.requests.snapshot(),
-            "spans": self.spans.snapshot(),
+            "requests": _window_rows(self.requests, self._errors),
+            "spans": _window_rows(self.spans, {}),
             "slos": self.slo.status(),
             "ring": {
                 "retained": len(self.ring),

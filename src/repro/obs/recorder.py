@@ -78,12 +78,14 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 #: process-wide count of obs hook dispatches; stays frozen while no
-#: recorder is attached (the zero-overhead-when-disabled witness).
+#: recorder is attached and no request tracer is wired in (the
+#: zero-overhead-when-disabled witness; :mod:`repro.obs.live` bumps it
+#: too).
 _dispatches = 0
 
 
 def dispatch_count() -> int:
-    """How many obs hook dispatches happened in this process so far."""
+    """How many obs dispatches (recorder hooks, tracer calls) happened so far."""
     return _dispatches
 
 

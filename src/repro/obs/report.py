@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import BIT_ACK, BIT_MOVED, DISPLACEMENT, MONITOR, STEP
 from repro.obs.export import ObsRun
-from repro.obs.spans import bit_spans, phase_totals
+from repro.obs.profiler import phase_hotspots
+from repro.obs.spans import bit_spans
 
 __all__ = [
     "render_timeline",
@@ -205,25 +206,25 @@ def render_metrics(run: ObsRun) -> str:
 
 def render_profile(run: ObsRun) -> str:
     """Wall time per simulator phase, from the injected clock."""
-    totals = phase_totals(run.events)
-    if not totals:
+    stats = {stat.name: stat for stat in phase_hotspots(run.events)}
+    if not stats:
         return "hot-path profile: (run was not recorded with phase timing)"
-    grand = sum(total for _, total in totals.values()) or 1.0
-    lines = ["hot-path profile (wall time per simulator phase):"]
     order = ("schedule", "compute", "move", "record")
-    names = [n for n in order if n in totals] + sorted(
-        n for n in totals if n not in order
+    names = [n for n in order if n in stats] + sorted(
+        n for n in stats if n not in order
     )
+    grand = sum(stats[name].self_seconds for name in names) or 1.0
+    width = max(len(name) for name in names + ["total"])
+    lines = ["hot-path profile (wall time per simulator phase):"]
     for name in names:
-        count, total = totals[name]
-        share = total / grand
-        mean = total / count if count else 0.0
+        stat = stats[name]
+        share = stat.self_seconds / grand
         bar = "#" * int(round(share * 30))
         lines.append(
-            f"  {name:<10s} {total:>12.6f}s  {share:>6.1%}  "
-            f"mean {mean:.3e}s  {bar}"
+            f"  {name:<{width}s} {stat.self_seconds:>12.6f}s  {share:>6.1%}  "
+            f"mean {stat.mean_seconds:.3e}s  {bar}"
         )
-    lines.append(f"  {'total':<10s} {grand:>12.6f}s")
+    lines.append(f"  {'total':<{width}s} {grand:>12.6f}s")
     return "\n".join(lines)
 
 

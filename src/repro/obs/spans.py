@@ -14,50 +14,63 @@ events:
 * **bit spans**: one span per transmitted bit, from its
   ``bit-encode-started`` event to its ``bit-receipt`` (open-ended when
   the bit was never delivered) — the rows of the CLI's Gantt view.
-* **phase spans**: the wall-clock profile of the simulator loop, built
-  from the ``phase`` timing events of an instrumented run.
+* **request spans**: the serving tier's telescoping legs of one client
+  request, in ``perf_counter`` seconds (:class:`repro.obs.live.RequestTrace`).
+
+The wall-clock phase profile is folded by
+:func:`repro.obs.profiler.phase_hotspots`, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.events import (
-    BIT_ENCODE_STARTED,
-    BIT_RECEIPT,
-    PHASE,
-    STEP,
-    Event,
-)
+from repro.obs.events import BIT_ENCODE_STARTED, BIT_RECEIPT, STEP, Event
 
-__all__ = ["Span", "activation_spans", "bit_spans", "phase_totals"]
+__all__ = ["Span", "activation_spans", "bit_spans"]
 
 #: Look/Compute/Move rendering convention: thirds of the instant.
 _CYCLE = (("look", 0.0, 1.0 / 3.0), ("compute", 1.0 / 3.0, 2.0 / 3.0),
           ("move", 2.0 / 3.0, 1.0))
 
 
-@dataclass(frozen=True)
+_NO_ATTRS: Mapping[str, object] = MappingProxyType({})
+
+
 class Span:
     """A named interval, optionally owned by one robot.
 
     ``start``/``end`` are in *instant* units for model-time spans
     (activation cycles, bit lifetimes) and in *seconds* for wall-clock
-    phase spans.  ``end`` is None for spans that never closed (a bit
-    that was lost, a phase cut off mid-run).
+    request spans.  ``end`` is None for spans that never closed (a bit
+    that was lost).  A plain ``__slots__`` record: the serving tier
+    builds several per traced request.
     """
 
-    name: str
-    start: float
-    end: Optional[float]
-    robot: Optional[int] = None
-    attrs: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("name", "start", "end", "robot", "attrs")
+
+    def __init__(
+        self,
+        name: str,
+        start: float,
+        end: Optional[float],
+        robot: Optional[int] = None,
+        attrs: Mapping[str, object] = _NO_ATTRS,
+    ) -> None:
+        self.name = name
+        self.start = start
+        self.end = end
+        self.robot = robot
+        self.attrs = attrs
 
     @property
-    def duration(self) -> Optional[float]:
-        """Span length, or None while open."""
+    def seconds(self) -> Optional[float]:
+        """Span length in its own units (``end - start``), None while open."""
         return None if self.end is None else self.end - self.start
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging sugar
+        return f"Span({self.name!r}, {self.start!r}, {self.end!r})"
 
 
 def activation_spans(events: Iterable[Event]) -> List[Span]:
@@ -121,20 +134,3 @@ def bit_spans(events: Iterable[Event]) -> List[Span]:
             )
     return spans
 
-
-def phase_totals(events: Iterable[Event]) -> Dict[str, Tuple[int, float]]:
-    """Wall-clock profile: phase name -> (samples, total seconds).
-
-    Built from the ``phase`` events an instrumented run records via
-    the recorder's injected monotonic clock; deterministic whenever
-    the clock is.
-    """
-    totals: Dict[str, Tuple[int, float]] = {}
-    for event in events:
-        if event.kind != PHASE:
-            continue
-        name = str(event.get("phase", "?"))
-        seconds = float(event.get("seconds", 0.0))  # type: ignore[arg-type]
-        count, total = totals.get(name, (0, 0.0))
-        totals[name] = (count + 1, total + seconds)
-    return totals

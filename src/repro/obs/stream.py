@@ -8,6 +8,10 @@ substrate:
   tees every event into (``recorder.add_sink(sink)``).  When full it
   drops the oldest events and counts the drops, so a slow consumer can
   never stall or bloat the simulation.
+* :class:`RollingWindows` — per-key rolling latency windows with
+  nearest-rank p50/p90/p99 (:func:`percentile`); the one window type,
+  also behind :class:`~repro.obs.live.RequestTracer`'s request and
+  span rows.
 * :class:`FlowLatencyTracker` — folds bit-lifecycle events into rolling
   per-flow latency windows and reports nearest-rank percentiles.
 * :func:`watch_file` — tails a ``repro-obs-v1`` JSONL trace that a
@@ -26,12 +30,15 @@ import sys
 import threading
 import time as _time
 from collections import deque
-from typing import Deque, Dict, List, Optional, TextIO, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, TextIO, Tuple
+
+from repro.errors import ObservabilityError
 
 from .events import BIT_ACK, BIT_ENCODE_STARTED, BIT_RECEIPT, Event
 from .export import _open_text
 
-__all__ = ["StreamingSink", "FlowLatencyTracker", "percentile", "watch_file"]
+__all__ = ["StreamingSink", "FlowLatencyTracker", "RollingWindows",
+           "percentile", "watch_file"]
 
 
 class StreamingSink:
@@ -105,18 +112,56 @@ def percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
+class RollingWindows:
+    """Rolling per-key latency windows with nearest-rank percentiles.
+
+    Each key keeps its latest ``window`` samples; ``count`` is every
+    sample the key ever saw.  Bounded however long it runs.
+    """
+
+    def __init__(self, window: int) -> None:
+        if window <= 0:
+            raise ObservabilityError(f"window must be positive, got {window}")
+        self._window = window
+        self._samples: Dict[Hashable, Deque[float]] = {}
+        self._count: Dict[Hashable, int] = {}
+
+    def observe(self, key: Hashable, value: float) -> None:
+        """Fold one sample into its key's window."""
+        samples = self._samples.get(key)
+        if samples is None:
+            samples = self._samples[key] = deque(maxlen=self._window)
+        samples.append(value)
+        self._count[key] = self._count.get(key, 0) + 1
+
+    def keys(self) -> List[Hashable]:
+        """Every key observed so far, sorted."""
+        return sorted(self._samples)
+
+    def count(self, key: Hashable) -> int:
+        """Samples ever observed for ``key``."""
+        return self._count.get(key, 0)
+
+    def row(self, key: Hashable) -> Dict[str, object]:
+        """One key's retained sample count plus rolling p50/p90/p99."""
+        sample = sorted(self._samples.get(key, ()))
+        return {
+            "window": len(sample),
+            "p50": percentile(sample, 50),
+            "p90": percentile(sample, 90),
+            "p99": percentile(sample, 99),
+        }
+
+
 class FlowLatencyTracker:
     """Rolling per-flow bit-latency percentiles from a live event feed."""
 
     def __init__(self, window: int = 256) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self._window = window
+        self._latencies = RollingWindows(window)
         self._encode_time: Dict[Tuple[int, int, int], int] = {}
         self._sent: Dict[Tuple[int, int], int] = {}
         self._delivered: Dict[Tuple[int, int], int] = {}
         self._acked: Dict[Tuple[int, int], int] = {}
-        self._latencies: Dict[Tuple[int, int], Deque[float]] = {}
 
     def consume(self, event: Event) -> None:
         """Fold one bit-lifecycle event into the rolling flow state."""
@@ -140,29 +185,20 @@ class FlowLatencyTracker:
             encode_time = self._encode_time.pop(flow + (seq,), None)
             if encode_time is None:
                 return
-            window = self._latencies.get(flow)
-            if window is None:
-                window = self._latencies[flow] = deque(maxlen=self._window)
-            window.append(float(event.time - encode_time))
+            self._latencies.observe(flow, float(event.time - encode_time))
 
     def snapshot(self) -> List[Dict[str, object]]:
         """One row per flow: counters plus rolling p50/p90/p99."""
-        rows: List[Dict[str, object]] = []
-        for flow in sorted(set(self._sent) | set(self._latencies)):
-            sample = sorted(self._latencies.get(flow, ()))
-            rows.append(
-                {
-                    "flow": f"{flow[0]}->{flow[1]}",
-                    "sent": self._sent.get(flow, 0),
-                    "delivered": self._delivered.get(flow, 0),
-                    "acked": self._acked.get(flow, 0),
-                    "window": len(sample),
-                    "p50": percentile(sample, 50),
-                    "p90": percentile(sample, 90),
-                    "p99": percentile(sample, 99),
-                }
-            )
-        return rows
+        return [
+            {
+                "flow": f"{flow[0]}->{flow[1]}",
+                "sent": self._sent.get(flow, 0),
+                "delivered": self._delivered.get(flow, 0),
+                "acked": self._acked.get(flow, 0),
+                **self._latencies.row(flow),
+            }
+            for flow in sorted(set(self._sent) | set(self._latencies.keys()))
+        ]
 
     def render(self) -> str:
         """One ASCII table row per flow: sent/recv/acked + percentiles."""

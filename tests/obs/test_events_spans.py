@@ -9,11 +9,10 @@ from repro.obs.events import (
     BIT_ENCODE_STARTED,
     BIT_RECEIPT,
     EVENT_KINDS,
-    PHASE,
     STEP,
     Event,
 )
-from repro.obs.spans import activation_spans, bit_spans, phase_totals
+from repro.obs.spans import activation_spans, bit_spans
 
 
 class TestEvent:
@@ -48,7 +47,7 @@ class TestActivationSpans:
         assert spans[0].start == pytest.approx(5.0)
         assert spans[-1].end == pytest.approx(6.0)
         assert all(s.robot == 1 for s in spans)
-        assert all(s.duration == pytest.approx(1.0 / 3.0) for s in spans)
+        assert all(s.seconds == pytest.approx(1.0 / 3.0) for s in spans)
 
     def test_idle_robots_get_no_spans(self):
         assert activation_spans([Event(STEP, 0, {"active": []})]) == []
@@ -66,7 +65,7 @@ class TestBitSpans:
         first, second = spans
         assert (first.start, first.end) == (0.0, 2.0)
         assert first.attrs["delivered"] is True
-        assert second.end is None and second.duration is None
+        assert second.end is None and second.seconds is None
         assert second.attrs["delivered"] is False
         assert second.attrs["seq"] == 1
 
@@ -81,14 +80,3 @@ class TestBitSpans:
         assert by_flow[(0, 1)].end is None
         assert by_flow[(2, 3)].end == 1.0
 
-
-class TestPhaseTotals:
-    def test_samples_and_seconds_accumulate(self):
-        events = [
-            Event(PHASE, 0, {"phase": "move", "seconds": 0.25}),
-            Event(PHASE, 1, {"phase": "move", "seconds": 0.75}),
-            Event(PHASE, 0, {"phase": "compute", "seconds": 0.5}),
-        ]
-        totals = phase_totals(events)
-        assert totals["move"] == (2, pytest.approx(1.0))
-        assert totals["compute"] == (1, pytest.approx(0.5))

@@ -9,7 +9,6 @@ from repro.obs.live import (
     RequestTrace,
     RequestTracer,
     TraceRing,
-    WindowAggregator,
     to_prometheus,
     validate_exposition,
     render_top,
@@ -67,29 +66,6 @@ class TestTraceRing:
             TraceRing(0)
 
 
-class TestWindowAggregator:
-    def test_rolling_percentiles_per_key(self):
-        agg = WindowAggregator(window=100)
-        for ms in range(1, 101):
-            agg.observe("step", "chat", ms / 1e3)
-        agg.observe("step", "gossip", 5.0, error=True)
-        rows = {(r["op"], r["app"]): r for r in agg.snapshot()}
-        chat = rows[("step", "chat")]
-        assert chat["count"] == 100 and chat["errors"] == 0
-        assert chat["p50"] == pytest.approx(0.050)
-        assert chat["p99"] == pytest.approx(0.099)
-        assert rows[("step", "gossip")]["errors"] == 1
-        assert agg.percentile("step", "chat", 50) == pytest.approx(0.050)
-        assert agg.percentile("no", "where", 99) == 0.0
-
-    def test_window_bounds_memory(self):
-        agg = WindowAggregator(window=4)
-        for _ in range(100):
-            agg.observe("step", "chat", 1.0)
-        (row,) = agg.snapshot()
-        assert row["window"] == 4 and row["count"] == 100
-
-
 class TestRequestTracer:
     def test_start_finish_feeds_every_surface(self):
         tracer = RequestTracer(window=16)
@@ -99,7 +75,7 @@ class TestRequestTracer:
         errored = tracer.start("step", app="chat", sid="s1")
         tracer.finish(errored, error="ServeError")
         assert len(tracer.ring) == 2
-        rows = tracer.requests.snapshot()
+        rows = tracer.telemetry()["requests"]
         assert rows[0]["count"] == 2 and rows[0]["errors"] == 1
         snapshot = {
             (name, labels): inst.snapshot()
@@ -129,7 +105,7 @@ class TestRequestTracer:
         trace = tracer.start("step", app="chat")
         trace.add_span("queue-wait", 0.0, 0.25)
         tracer.finish(trace)
-        assert tracer.spans.percentile("queue-wait", "*", 99) == pytest.approx(0.25)
+        assert tracer.spans.row(("queue-wait", "*"))["p99"] == pytest.approx(0.25)
 
     def test_telemetry_shape(self):
         tracer = RequestTracer()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.obs.__main__ import main, record_demo
@@ -42,6 +44,14 @@ class TestViews:
         text = render_profile(load_run(demo_path))
         for phase in ("schedule", "compute", "move", "record"):
             assert phase in text
+
+    def test_profile_seconds_column_lines_up(self, demo_path):
+        """Dotted phase names must not push the seconds column out."""
+        text = render_profile(load_run(demo_path))
+        rows = text.splitlines()[1:]
+        assert any("." in row.split()[0] for row in rows)
+        offsets = {re.search(r"\d\.\d{6}s", row).start() for row in rows}
+        assert len(offsets) == 1, text
 
     def test_report_concatenates_everything(self, demo_path):
         text = render_report(load_run(demo_path))
@@ -217,6 +227,12 @@ class TestWatchCli:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["watch", str(tmp_path / "gone.jsonl")]) == 1
         assert "no such run file" in capsys.readouterr().err
+
+    def test_nonpositive_window_is_a_one_line_error(self, demo_path, capsys):
+        assert main(["watch", demo_path, "--once", "--window", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "window must be positive" in err
+        assert "Traceback" not in err
 
 
 class TestRegressDiagnostic:

@@ -8,9 +8,16 @@ import random
 
 import pytest
 
+from repro.errors import ObservabilityError
 from repro.obs.events import BIT_ACK, BIT_ENCODE_STARTED, BIT_RECEIPT, STEP, Event
 from repro.obs.export import dump_run
-from repro.obs.stream import FlowLatencyTracker, StreamingSink, percentile, watch_file
+from repro.obs.stream import (
+    FlowLatencyTracker,
+    RollingWindows,
+    StreamingSink,
+    percentile,
+    watch_file,
+)
 from repro.obs.__main__ import record_demo
 
 
@@ -103,6 +110,36 @@ def _attached_demo_recorder(sink):
     harness.run(10)
     recorder.detach(harness.simulator)
     return recorder
+
+
+class TestRollingWindows:
+    def test_rolling_percentiles_per_key(self):
+        windows = RollingWindows(window=100)
+        for ms in range(1, 101):
+            windows.observe(("step", "chat"), ms / 1e3)
+        windows.observe(("step", "gossip"), 5.0)
+        assert windows.keys() == [("step", "chat"), ("step", "gossip")]
+        row = windows.row(("step", "chat"))
+        assert windows.count(("step", "chat")) == 100
+        assert row["p50"] == pytest.approx(0.050)
+        assert row["p99"] == pytest.approx(0.099)
+        assert windows.row(("no", "where")) == {
+            "window": 0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
+        }
+
+    def test_window_bounds_memory(self):
+        windows = RollingWindows(window=4)
+        for _ in range(100):
+            windows.observe("step", 1.0)
+        assert windows.row("step")["window"] == 4
+        assert windows.count("step") == 100
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_nonpositive_window_is_rejected(self, window):
+        with pytest.raises(ObservabilityError):
+            RollingWindows(window)
+        with pytest.raises(ObservabilityError):
+            FlowLatencyTracker(window=window)
 
 
 class TestFlowLatencyTracker:
