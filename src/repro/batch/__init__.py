@@ -200,7 +200,7 @@ def make_simulator(
             )
         from repro.batch.engine import BatchSimulator
 
-        return BatchSimulator(
+        return BatchSimulator._of_eligible(
             robots, scheduler, caching=caching, trace_policy=trace_policy
         )
     return Simulator(robots, scheduler, caching=caching, trace_policy=trace_policy)

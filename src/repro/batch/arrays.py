@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.batch import require_numpy
+from repro.geometry.frames import frame_bases
 from repro.geometry.vec import Vec2
 
 __all__ = ["SwarmArrays"]
@@ -52,7 +53,7 @@ class SwarmArrays:
     __slots__ = (
         "np", "n", "px", "py", "ax", "ay",
         "xaxx", "xaxy", "yaxx", "yaxy", "scale", "sigma",
-        "pos_epoch", "reallocations",
+        "pos_epoch", "reallocations", "_materialized",
     )
 
     def __init__(self, robots: Sequence) -> None:
@@ -63,28 +64,25 @@ class SwarmArrays:
         f64 = np.float64
         positions = [robot.position for robot in robots]
         frames = [robot.frame for robot in robots]
-        # Each x_axis is a fresh Vec2: drop it at once, so n of them
-        # never live together (that would cost an extra full GC pass).
-        xaxx, xaxy = [], []
-        for frame in frames:
-            x_axis = frame.x_axis
-            xaxx.append(x_axis.x)
-            xaxy.append(x_axis.y)
         self.px = np.array([p.x for p in positions], dtype=f64)
         self.py = np.array([p.y for p in positions], dtype=f64)
-        self.xaxx = np.array(xaxx, dtype=f64)
-        self.xaxy = np.array(xaxy, dtype=f64)
-        # Frame.y_axis: x_axis.perp_ccw() = (-x.y, x.x), negated when
-        # left-handed.  Negation is exact, signed zeros included.
-        right = np.array([frame.handedness == 1 for frame in frames], dtype=bool)
-        self.yaxx = np.where(right, -self.xaxy, self.xaxy)
-        self.yaxy = np.where(right, self.xaxx, -self.xaxx)
+        # One (x.x, x.y, y.x, y.y) row per robot, the floats of
+        # Frame.x_axis / Frame.y_axis; evaluated once per orientation.
+        bases = np.array(frame_bases(frames), dtype=f64).reshape(n, 4)
+        self.xaxx, self.xaxy, self.yaxx, self.yaxy = bases.T.copy()
         self.scale = np.array([frame.scale for frame in frames], dtype=f64)
         self.sigma = np.array([robot.sigma for robot in robots], dtype=f64)
         self.ax = self.px.copy()
         self.ay = self.py.copy()
         self.pos_epoch = np.zeros(n, dtype=np.int64)
         self.reallocations = 0
+        # The last positions tuple handed out, with the coordinates it
+        # holds.  The robots' own Vec2s seed it when they hold exactly
+        # the floats the columns do (an int or a float subclass would
+        # print differently in a trace digest).
+        self._materialized = None
+        if all(type(p.x) is float and type(p.y) is float for p in positions):
+            self._materialized = (self.px.copy(), self.py.copy(), tuple(positions))
 
     # ------------------------------------------------------------------
     # Views
@@ -98,9 +96,32 @@ class SwarmArrays:
         return Vec2(float(self.ax[i]), float(self.ay[i]))
 
     def positions_tuple(self):
-        """All positions as a tuple of :class:`Vec2` (trace material)."""
+        """All positions as a tuple of :class:`Vec2` (trace material).
+
+        A robot whose coordinates are bit for bit those of the last
+        tuple keeps its :class:`Vec2` from it, so a mostly silent swarm
+        allocates only for the robots that moved.
+        """
+        np = self.np
         px, py = self.px, self.py
-        return tuple(Vec2(float(px[i]), float(py[i])) for i in range(self.n))
+        last = self._materialized
+        if last is None:
+            out = tuple(Vec2(float(px[i]), float(py[i])) for i in range(self.n))
+        else:
+            lpx, lpy, previous = last
+            # Compare bit patterns: -0.0 == 0.0, but the two print apart.
+            changed = np.nonzero(
+                (px.view(np.int64) != lpx.view(np.int64))
+                | (py.view(np.int64) != lpy.view(np.int64))
+            )[0]
+            if not len(changed):
+                return previous
+            fresh = list(previous)
+            for i in changed.tolist():
+                fresh[i] = Vec2(float(px[i]), float(py[i]))
+            out = tuple(fresh)
+        self._materialized = (px.copy(), py.copy(), out)
+        return out
 
     # ------------------------------------------------------------------
     # Vectorized transforms (exact scalar mirrors; see module docstring)

@@ -23,8 +23,10 @@ axis of the :mod:`repro.verify.differential` oracle over every matrix
 cell the kernel can host.
 
 Trace recording is the other big scalar cost at 100k robots: a
-:class:`TraceStep` materialises ``n`` ``Vec2`` objects per instant.
-:class:`BatchTrace` defers that work for instants that nobody will look
+:class:`TraceStep` holds ``n`` ``Vec2`` objects per instant.  A recorded
+step allocates them only for the robots that moved since the last one
+(:meth:`~repro.batch.arrays.SwarmArrays.positions_tuple`), and
+:class:`BatchTrace` defers the work for instants that nobody will look
 at (stride-skipped steps with no listeners attached), keeping the
 latest configuration as two array copies until someone asks.
 """
@@ -137,6 +139,31 @@ class BatchSimulator:
         trace_policy: Optional[TracePolicy] = None,
         overheard_limit: int = DEFAULT_OVERHEARD_LIMIT,
     ) -> None:
+        self._build(robots, scheduler, caching, trace_policy, overheard_limit, False)
+
+    @classmethod
+    def _of_eligible(
+        cls,
+        robots: Sequence[Robot],
+        scheduler: Optional[Scheduler],
+        *,
+        caching: bool,
+        trace_policy: Optional[TracePolicy],
+    ) -> "BatchSimulator":
+        """Build for a swarm :func:`kernel_eligible` has just accepted.
+
+        :func:`repro.batch.make_simulator` needs that verdict to pick
+        the engine; this spares the swarm a second eligibility pass.
+        """
+        sim = cls.__new__(cls)
+        sim._build(
+            robots, scheduler, caching, trace_policy, DEFAULT_OVERHEARD_LIMIT, True
+        )
+        return sim
+
+    def _build(
+        self, robots, scheduler, caching, trace_policy, overheard_limit, eligible
+    ) -> None:
         self._np = require_numpy()
         if not robots:
             raise ModelError("a simulation needs at least one robot")
@@ -144,14 +171,18 @@ class BatchSimulator:
         if len({id(p) for p in protocols}) != len(protocols):
             raise ModelError("every robot needs its own protocol instance")
         positions = [r.position for r in robots]
-        seen: Dict[Vec2, int] = {}
-        for i, p in enumerate(positions):
-            j = seen.get(p)
-            if j is not None:
-                raise ModelError(
-                    f"robots {j} and {i} share the initial position {p!r}"
-                )
-            seen[p] = i
+        # Vec2 equality and hashing are those of its (x, y) tuple, so
+        # the set of tuples finds duplicates in one C-level pass; the
+        # loop only runs to name the offending pair.
+        if len({(p.x, p.y) for p in positions}) != len(positions):
+            seen: Dict[Vec2, int] = {}
+            for i, p in enumerate(positions):
+                j = seen.get(p)
+                if j is not None:
+                    raise ModelError(
+                        f"robots {j} and {i} share the initial position {p!r}"
+                    )
+                seen[p] = i
         ids = [r.observable_id for r in robots]
         identified = all(v is not None for v in ids)
         if not identified and any(v is not None for v in ids):
@@ -161,7 +192,7 @@ class BatchSimulator:
             )
         if identified and len(set(ids)) != len(ids):
             raise ModelError("observable ids must be pairwise distinct")
-        if not kernel_eligible(robots):
+        if not eligible and not kernel_eligible(robots):
             raise ModelError(
                 "the batch kernel cannot host this swarm: it runs "
                 f"{KERNEL_ENVELOPE}; build it with the scalar Simulator"

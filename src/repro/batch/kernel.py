@@ -102,29 +102,21 @@ def kernel_eligible(robots: Sequence) -> bool:
     first = robots[0].protocol
     if type(first) is not SyncGranularProtocol:
         return False
-    config = _config_of(first)
+    config = first._config
     for robot in robots:
         protocol = robot.protocol
         if type(protocol) is not SyncGranularProtocol:
             return False
-        if _config_of(protocol) != config:
+        # Equal argument sets usually share one config object, so the
+        # identity test settles almost every robot.
+        other = protocol._config
+        if other is not config and other != config:
             return False
         if robot.frame.handedness != 1:
             return False
         if config[0] != "sec" and robot.frame.rotation != 0.0:
             return False
     return True
-
-
-def _config_of(protocol: SyncGranularProtocol) -> Tuple:
-    return (
-        protocol._naming,
-        protocol._excursion_fraction,
-        protocol._max_directions,
-        protocol._dilation,
-        protocol._off_home_fraction,
-        protocol._tolerate_ambiguity,
-    )
 
 
 class _SenderView:
@@ -164,7 +156,7 @@ class GranularKernel:
             self._dilation,
             self._off_home_fraction,
             self._tolerate,
-        ) = _config_of(template)
+        ) = template._config
 
         ids = [r.observable_id for r in robots]
         self._identified = all(v is not None for v in ids)

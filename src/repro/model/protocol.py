@@ -89,9 +89,14 @@ class Protocol(ABC):
 
     def __init__(self) -> None:
         self._info: Optional[BindingInfo] = None
-        self._outgoing: Deque[Tuple[int, int]] = deque()
-        self._received: List[BitEvent] = []
-        self._overheard: List[BitEvent] = []
+        # The queue and the logs are allocated by bind(); until then
+        # they are the shared empty tuple, which every pre-bind read
+        # treats as empty.  Unbound protocols (the batch kernel never
+        # binds its swarm) thus hold no containers for the cyclic GC
+        # to traverse.
+        self._outgoing: Deque[Tuple[int, int]] | Tuple[()] = ()
+        self._received: List[BitEvent] | Tuple[()] = ()
+        self._overheard: List[BitEvent] | Tuple[()] = ()
         self._activations: int = 0
         # Observability sink (set by repro.obs.recorder.ObsRecorder).
         # None by default: the hot path pays one identity check per
@@ -110,6 +115,9 @@ class Protocol(ABC):
                 "protocol instance already bound; every robot needs its own instance"
             )
         self._info = info
+        self._outgoing = deque()
+        self._received = []
+        self._overheard = []
         self._on_bind(info)
 
     def on_activate(self, observation: Observation) -> Vec2:

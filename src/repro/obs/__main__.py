@@ -297,7 +297,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    entries = _history_entries(args.history)
     policy = RegressPolicy(
         window=args.window,
         min_samples=args.min_samples,
@@ -306,6 +305,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         abs_tolerance=args.abs_tolerance,
         metrics=tuple(args.metric) if args.metric else None,
     )
+    entries = _history_entries(args.history)
     report = detect(entries, policy)
     print(render_regressions(report))
     if args.report_only or report.ok:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ObservabilityError
 from repro.obs.history.store import HistoryEntry
 
 __all__ = [
@@ -105,7 +106,8 @@ class RegressPolicy:
     """What counts as a regression.
 
     Attributes:
-        window: baseline entries considered (most recent first).
+        window: baseline entries considered (most recent first); must
+            be positive.
         min_samples: baseline points below which a metric is skipped.
         mad_k: noise band half-width in scaled MADs.
         rel_tolerance: minimum relative deviation (0.10 = 10%).
@@ -122,6 +124,12 @@ class RegressPolicy:
     abs_tolerance: float = 0.0
     metrics: Optional[Tuple[str, ...]] = None
     directions: Dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # An empty baseline skips every metric, which would read as "no
+        # regressions" with the gate in fact off.
+        if self.window <= 0:
+            raise ObservabilityError(f"window must be positive, got {self.window}")
 
     def direction(self, name: str) -> str:
         """The effective direction of goodness for ``name``."""

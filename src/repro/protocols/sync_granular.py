@@ -30,8 +30,10 @@ are overheard by everyone — the redundancy the paper points out.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import AmbiguousDirectionError, ProtocolError
 from repro.geometry.granular import Granular, granular_radius
@@ -43,6 +45,57 @@ from repro.protocols._naming_support import NamingMode, build_addressing
 __all__ = ["SyncGranularProtocol", "NamingMode"]
 
 _OFF_HOME_EPS_FACTOR = 1e-6
+
+#: What an unbound protocol holds in place of each per-run mapping:
+#: one shared read-only empty, so construction allocates nothing the
+#: cyclic GC would traverse.  ``_on_bind`` builds the real ones.
+_UNBOUND: Mapping = MappingProxyType({})
+
+
+def _validate_config(
+    naming: NamingMode,
+    excursion_fraction: float,
+    max_directions: int | None,
+    dilation: int,
+    off_home_fraction: float,
+    tolerate_ambiguity: bool,
+) -> Tuple:
+    """Check the constructor arguments; return them as the config tuple."""
+    if naming not in ("identified", "sod", "sec"):
+        raise ProtocolError(f"unknown naming mode {naming!r}")
+    if not (0.0 < excursion_fraction < 1.0):
+        raise ProtocolError(
+            f"excursion_fraction must be in (0, 1), got {excursion_fraction}"
+        )
+    if max_directions is not None and max_directions < 2:
+        raise ProtocolError(
+            f"max_directions must be >= 2, got {max_directions}"
+        )
+    if dilation < 1:
+        raise ProtocolError(f"dilation must be >= 1, got {dilation}")
+    if not (0.0 < off_home_fraction < 1.0):
+        raise ProtocolError(
+            f"off_home_fraction must be in (0, 1), got {off_home_fraction}"
+        )
+    if off_home_fraction >= excursion_fraction:
+        raise ProtocolError(
+            "off_home_fraction must stay below excursion_fraction or "
+            "genuine excursions would read as idle"
+        )
+    return (
+        naming,
+        excursion_fraction,
+        max_directions,
+        dilation,
+        off_home_fraction,
+        tolerate_ambiguity,
+    )
+
+
+#: :func:`_validate_config` run once per distinct argument set: equal,
+#: equally typed sets get the same tuple back, so a swarm built with
+#: one configuration shares one config object.
+_shared_config = functools.lru_cache(maxsize=64, typed=True)(_validate_config)
 
 
 class SyncGranularProtocol(Protocol):
@@ -92,27 +145,19 @@ class SyncGranularProtocol(Protocol):
         tolerate_ambiguity: bool = False,
     ) -> None:
         super().__init__()
-        if naming not in ("identified", "sod", "sec"):
-            raise ProtocolError(f"unknown naming mode {naming!r}")
-        if not (0.0 < excursion_fraction < 1.0):
-            raise ProtocolError(
-                f"excursion_fraction must be in (0, 1), got {excursion_fraction}"
-            )
-        if max_directions is not None and max_directions < 2:
-            raise ProtocolError(
-                f"max_directions must be >= 2, got {max_directions}"
-            )
-        if dilation < 1:
-            raise ProtocolError(f"dilation must be >= 1, got {dilation}")
-        if not (0.0 < off_home_fraction < 1.0):
-            raise ProtocolError(
-                f"off_home_fraction must be in (0, 1), got {off_home_fraction}"
-            )
-        if off_home_fraction >= excursion_fraction:
-            raise ProtocolError(
-                "off_home_fraction must stay below excursion_fraction or "
-                "genuine excursions would read as idle"
-            )
+        args = (
+            naming,
+            excursion_fraction,
+            max_directions,
+            dilation,
+            off_home_fraction,
+            tolerate_ambiguity,
+        )
+        try:
+            self._config = _shared_config(*args)
+        except TypeError:
+            # An unhashable argument skips the cache, not the checks.
+            self._config = _validate_config(*args)
         self._naming: NamingMode = naming
         self._excursion_fraction = excursion_fraction
         self._max_directions = max_directions
@@ -121,15 +166,17 @@ class SyncGranularProtocol(Protocol):
         self._tolerate_ambiguity = tolerate_ambiguity
         self._hold_remaining = 0
         self._hold_target: Vec2 | None = None
-        self._homes: List[Vec2] = []
-        self._granulars: Dict[int, Granular] = {}
+        # Per-run state is built by _on_bind; until then each slot holds
+        # a shared immutable empty.
+        self._homes: List[Vec2] | Tuple[()] = ()
+        self._granulars: Mapping[int, Granular] = _UNBOUND
         # _labels[s] maps tracking index -> diameter label as used by
         # sender s; _inverse[s] is the reverse mapping.
-        self._labels: Dict[int, Dict[int, int]] = {}
-        self._inverse: Dict[int, Dict[int, int]] = {}
+        self._labels: Mapping[int, Dict[int, int]] = _UNBOUND
+        self._inverse: Mapping[int, Dict[int, int]] = _UNBOUND
         self._step_out: float = 0.0
         self._outbound = True
-        self._peer_was_home: Dict[int, bool] = {}
+        self._peer_was_home: Mapping[int, bool] = _UNBOUND
 
     # ------------------------------------------------------------------
     # Preprocessing (the two steps of Section 3.2, executed at t0)
@@ -157,18 +204,20 @@ class SyncGranularProtocol(Protocol):
             for s, mapping in self._labels.items()
         }
 
+        granulars: Dict[int, Granular] = {}
         for j in range(n):
             others = [p for i, p in enumerate(positions) if i != j]
             radius = granular_radius(positions[j], others)
-            self._granulars[j] = Granular(
+            granulars[j] = Granular(
                 center=positions[j],
                 radius=radius,
                 num_diameters=n,
                 zero_direction=zero_directions[j],
                 sweep=-1,
             )
+        self._granulars = granulars
         self._step_out = min(
-            self._excursion_fraction * self._granulars[info.index].radius,
+            self._excursion_fraction * granulars[info.index].radius,
             info.sigma,
         )
         self._peer_was_home = {j: True for j in range(n) if j != info.index}

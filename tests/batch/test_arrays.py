@@ -56,3 +56,32 @@ def test_columns_bit_identical_to_frames(regime):
         assert [_bits(float(v)) for v in column] == [_bits(scalar(r)) for r in robots], name
     assert arrays.ax.tobytes() == arrays.px.tobytes()
     assert arrays.ay.tobytes() == arrays.py.tobytes()
+
+
+def _robots(points):
+    return [Robot(position=p, protocol=SyncGranularProtocol()) for p in points]
+
+
+def test_positions_tuple_reuses_unmoved_vec2s():
+    from repro.batch.arrays import SwarmArrays
+
+    points = [Vec2(float(i), 0.5 * i) for i in range(6)]
+    points[2] = Vec2(0.0, 7.0)
+    arrays = SwarmArrays(_robots(points))
+    first = arrays.positions_tuple()
+    assert all(a is b for a, b in zip(first, points))
+    assert arrays.positions_tuple() is first
+    arrays.px[4] += 1.0
+    arrays.px[2] = -0.0  # equal to 0.0, but a different bit pattern
+    second = arrays.positions_tuple()
+    assert [i for i in range(6) if second[i] is not first[i]] == [2, 4]
+    assert repr(second[2]) == repr(Vec2(-0.0, 7.0))
+    assert second[4] == Vec2(5.0, 2.0)
+
+
+def test_positions_tuple_holds_floats_for_int_coordinates():
+    from repro.batch.arrays import SwarmArrays
+
+    arrays = SwarmArrays(_robots([Vec2(0, 0), Vec2(3, 0), Vec2(0, 4)]))
+    for p in arrays.positions_tuple():
+        assert type(p.x) is float and type(p.y) is float

@@ -97,3 +97,26 @@ def test_make_simulator_batch_selects_batch_engine():
 def test_make_simulator_strict_rejects_unsupported_swarm():
     with pytest.raises(ValueError, match="cannot host this swarm"):
         repro.batch.make_simulator([], backend="batch", strict=True)
+
+
+@requires_numpy
+@pytest.mark.parametrize("in_envelope", [True, False])
+def test_make_simulator_runs_one_eligibility_pass(monkeypatch, in_envelope):
+    import repro.batch.engine as engine
+    import repro.batch.kernel as kernel
+
+    calls = []
+
+    def counting(robots):
+        calls.append(len(robots))
+        return real(robots)
+
+    real = kernel.kernel_eligible
+    monkeypatch.setattr(kernel, "kernel_eligible", counting)
+    monkeypatch.setattr(engine, "kernel_eligible", counting)
+    robots = _swarm()
+    if not in_envelope:
+        robots[0].protocol = SyncGranularProtocol(dilation=2)
+    sim = repro.batch.make_simulator(robots, backend="batch")
+    assert type(sim) is (engine.BatchSimulator if in_envelope else Simulator)
+    assert calls == [3]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from typing import Callable, List, Optional, Sequence
@@ -79,3 +80,22 @@ def deliver_all(
         return all(len(h.channel(r).inbox) >= c for r, c in expectations)
 
     return harness.pump(done, max_steps=max_steps)
+
+
+def tracked_per_build(cls, count=1000):
+    """GC-tracked objects added per instance by ``count`` builds of ``cls``.
+
+    The builds run on a fresh subclass: CPython 3.11 gives a class's
+    instances a separate (tracked) attribute dict once a few of them were
+    created before the class's attribute keys were all known, as a
+    refused construction does, so the count must not depend on which
+    tests ran first.
+    """
+    fresh = type(cls.__name__, (cls,), {})
+    fresh()  # learn the attribute keys and warm any config cache
+    gc.collect()
+    before = len(gc.get_objects())
+    keep = [fresh() for _ in range(count)]
+    added = len(gc.get_objects()) - before - 1  # minus the ``keep`` list
+    del keep
+    return added / count

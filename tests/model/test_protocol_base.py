@@ -12,6 +12,7 @@ from repro.model.observation import Observation
 from repro.model.protocol import BindingInfo, BitEvent, Protocol
 from repro.model.robot import Robot
 from repro.model.simulator import Simulator
+from tests.conftest import tracked_per_build
 
 
 class Recorder(Protocol):
@@ -89,3 +90,39 @@ class TestLogs:
                     index=0, count=2, sigma=1.0, initial_positions=(Vec2(0, 0), Vec2(1, 0))
                 )
             )
+
+
+class TestUnbound:
+    """Queues and logs are allocated at bind, not at construction."""
+
+    def test_construction_tracks_one_object_per_instance(self):
+        assert tracked_per_build(Recorder) <= 1.0
+
+    def test_pre_bind_reads_are_empty(self):
+        p = Recorder()
+        assert p.pending_bits == 0
+        assert p.received == ()
+        assert p.overheard == ()
+        assert p.activations == 0
+        assert p._next_outgoing() is None
+        assert p._peek_outgoing() is None
+        with pytest.raises(ProtocolError, match="not bound"):
+            p.send_bit(1, 0)
+        with pytest.raises(ProtocolError, match="not bound"):
+            p.send_bits(1, [0, 1])
+
+    def test_rebinding_is_refused(self):
+        sim, a, _ = bound_pair()
+        with pytest.raises(ProtocolError, match="already bound"):
+            Simulator([Robot(position=Vec2(0, 0), protocol=a),
+                       Robot(position=Vec2(1, 0), protocol=Recorder())])
+
+    def test_bound_robots_never_share_a_queue(self):
+        sim, a, b = bound_pair()
+        for log in ("_outgoing", "_received", "_overheard"):
+            assert getattr(a, log) is not getattr(b, log)
+        a.send_bits(1, [1, 0])
+        assert (a.pending_bits, b.pending_bits) == (2, 0)
+        sim.step()
+        assert len(a.received) == len(b.received) == 1
+        assert a.received[0].dst == 0 and b.received[0].dst == 1

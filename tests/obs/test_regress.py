@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ObservabilityError
 from repro.obs.__main__ import main
 from repro.obs.history import (
     HistoryEntry,
@@ -116,6 +117,11 @@ class TestDetect:
         policy = RegressPolicy(metrics=("other_s",))
         report = detect(entries, policy)
         assert [f.metric for f in report.findings] == ["other_s"]
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_nonpositive_window_is_rejected(self, window):
+        with pytest.raises(ObservabilityError, match="window must be positive"):
+            RegressPolicy(window=window)
 
     def test_empty_history(self):
         report = detect([])

@@ -262,6 +262,14 @@ class TestRegressDiagnostic:
         assert "elapsed_s=10" in line
         assert "median 1" in line and "band [" in line
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_nonpositive_window_is_a_one_line_error(self, tmp_path, capsys, window):
+        path = self._history_with_regression(tmp_path)
+        assert main(["regress", "--history", path, "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: window must be positive, got {window}\n"
+
     def test_report_only_suppresses_the_diagnostic(self, tmp_path, capsys):
         path = self._history_with_regression(tmp_path)
         assert main(["regress", "--history", path, "--report-only"]) == 0

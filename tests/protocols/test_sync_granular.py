@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,47 @@ from repro.geometry.granular import granular_radius
 from repro.geometry.vec import Vec2
 from repro.protocols.sync_granular import SyncGranularProtocol
 
-from tests.conftest import make_harness, random_positions
+from tests.conftest import make_harness, random_positions, tracked_per_build
+
+
+#: Every constructor refusal, with its exact message.  ``["sod"]`` is
+#: unhashable: it must meet the same check as any other bad naming.
+BAD_ARGUMENTS = [
+    ({"naming": "bogus"}, "unknown naming mode 'bogus'"),
+    ({"naming": ["sod"]}, "unknown naming mode ['sod']"),
+    ({"excursion_fraction": 1.5}, "excursion_fraction must be in (0, 1), got 1.5"),
+    ({"excursion_fraction": 0.0}, "excursion_fraction must be in (0, 1), got 0.0"),
+    ({"max_directions": 1}, "max_directions must be >= 2, got 1"),
+    ({"dilation": 0}, "dilation must be >= 1, got 0"),
+    ({"off_home_fraction": 0.0}, "off_home_fraction must be in (0, 1), got 0.0"),
+    ({"off_home_fraction": 1.0}, "off_home_fraction must be in (0, 1), got 1.0"),
+    (
+        {"off_home_fraction": 0.5},
+        "off_home_fraction must stay below excursion_fraction or "
+        "genuine excursions would read as idle",
+    ),
+]
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message", BAD_ARGUMENTS, ids=[str(k) for k, _ in BAD_ARGUMENTS]
+    )
+    def test_bad_argument_message(self, kwargs, message):
+        for _ in range(2):  # a refused argument set is never remembered
+            with pytest.raises(ProtocolError) as info:
+                SyncGranularProtocol(**kwargs)
+            assert str(info.value) == message
+
+    def test_equal_arguments_share_one_config(self):
+        a = SyncGranularProtocol(naming="sod", dilation=3)
+        b = SyncGranularProtocol(naming="sod", dilation=3)
+        assert a._config is b._config
+        assert SyncGranularProtocol()._config is SyncGranularProtocol(
+            naming="identified"
+        )._config
+        assert a._config != SyncGranularProtocol(naming="sod")._config
+
     def test_naming_mode_checked(self):
         with pytest.raises(ProtocolError):
             SyncGranularProtocol(naming="bogus")  # type: ignore[arg-type]
@@ -38,6 +77,38 @@ class TestValidation:
             Simulator(
                 [Robot(position=Vec2(0, 0), protocol=SyncGranularProtocol(), observable_id=0)]
             )
+
+
+class TestUnbound:
+    """Per-run state is built at bind; until then nothing is allocated."""
+
+    def test_construction_tracks_one_object_per_instance(self):
+        assert tracked_per_build(SyncGranularProtocol) <= 1.0
+
+    def test_pre_bind_api_unchanged(self):
+        p = SyncGranularProtocol()
+        assert (p.pending_bits, p.received, p.overheard) == (0, (), ())
+        with pytest.raises(ProtocolError, match="not bound"):
+            p.send_bit(1, 0)
+        with pytest.raises(ProtocolError, match="unknown robot 0"):
+            p.granular_of(0)
+        with pytest.raises(ProtocolError, match="unknown sender 0"):
+            p.labels_used_by(0)
+
+    def test_reuse_is_refused(self):
+        h = make_harness(3, lambda: SyncGranularProtocol())
+        with pytest.raises(ProtocolError, match="already bound"):
+            h.simulator.protocol_of(0).bind(h.simulator.protocol_of(1).info)
+
+    def test_bound_robots_own_their_state(self):
+        h = make_harness(3, lambda: SyncGranularProtocol())
+        a, b = h.simulator.protocol_of(0), h.simulator.protocol_of(1)
+        for name in ("_homes", "_granulars", "_labels", "_inverse",
+                     "_peer_was_home", "_outgoing", "_received"):
+            assert getattr(a, name) is not getattr(b, name), name
+            assert isinstance(getattr(a, name), (list, dict, deque)), name
+        a.send_bits(1, [1, 0])
+        assert (a.pending_bits, b.pending_bits) == (2, 0)
 
 
 class TestPreprocessing:
