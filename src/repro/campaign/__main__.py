@@ -18,10 +18,6 @@ Examples::
     python -m repro.campaign report .campaigns/verify-sweep
     python -m repro.campaign diff .campaigns/run-a .campaigns/run-b
 
-    # feed the longitudinal metrics history (repro.obs.history)
-    python -m repro.campaign export-history .campaigns/verify-sweep \\
-        --history BENCH_history.jsonl
-
 Exit status: 0 clean; 1 failed cells or findings (or structural store
 disagreement for ``diff``); 2 usage errors; 3 incomplete campaign.
 """
@@ -150,25 +146,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_export_history(args: argparse.Namespace) -> int:
-    """Append a finished store's aggregates to the metrics history.
-
-    The bridge between the campaign engine and the longitudinal
-    observability layer: cell counts, statuses, and per-cell wall
-    clocks become one :mod:`repro.obs.history` entry that
-    ``python -m repro.obs regress`` can gate on.
-    """
-    from repro.obs.history import HistoryStore, entry_from_campaign
-
-    store = ResultStore(args.store)
-    entry = HistoryStore(args.history).append(entry_from_campaign(store))
-    print(
-        f"[history: campaign {entry.run_id!r} -> entry #{entry.seq} "
-        f"({len(entry.metrics)} metrics) in {args.history}]"
-    )
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -230,16 +207,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="relative numeric drift to report (default 0.2)")
     diff.set_defaults(func=_cmd_diff)
 
-    export = sub.add_parser(
-        "export-history",
-        help="append a store's aggregate metrics to a history file",
-    )
-    export.add_argument("store", help="result store directory")
-    export.add_argument("--history", metavar="PATH",
-                        default="BENCH_history.jsonl",
-                        help="history file to append to "
-                             "(default BENCH_history.jsonl)")
-    export.set_defaults(func=_cmd_export_history)
     return parser
 
 

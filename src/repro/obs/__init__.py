@@ -26,10 +26,9 @@ subpackage makes runs observable without changing them:
   Gantt, metrics tables and the hot-path profile from an exported run
   (see :mod:`repro.obs.report`).
 * :mod:`repro.obs.history` — the *longitudinal* layer: an append-only
-  git-commit-stamped metrics history (``BENCH_history.jsonl``),
-  ingest adapters for campaign stores and registry snapshots, and
-  median+MAD regression gating
-  (``python -m repro.obs regress``).
+  git-commit-stamped metrics history (the committed
+  ``BENCH_trajectory.jsonl``), registry-snapshot flattening, and
+  median+MAD regression gating (``python -m repro.obs regress``).
 * :mod:`repro.obs.profiler` — deterministic self/total-time hotspot
   tables over phase and bit spans (``python -m repro.obs hotspots``);
   :func:`~repro.obs.profiler.phase_hotspots` is the one fold over
@@ -95,7 +94,6 @@ from repro.obs.history import (
     HistoryStore,
     RegressPolicy,
     detect,
-    entry_from_campaign,
     render_regressions,
 )
 from repro.obs.profiler import flow_hotspots, phase_hotspots, render_hotspots
@@ -114,7 +112,6 @@ __all__ = [
     "detect",
     "diff_runs",
     "diff_history_entries",
-    "entry_from_campaign",
     "render_regressions",
     "render_hotspots",
     "render_diff",

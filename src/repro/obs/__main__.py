@@ -21,7 +21,7 @@ Examples::
                                                 # of a running server)
     python -m repro.obs diff a.jsonl b.jsonl    # what changed, and the
                                                 # first diverging event
-    python -m repro.obs diff 3 4 --history BENCH_history.jsonl
+    python -m repro.obs diff 1 2 --history BENCH_trajectory.jsonl
     python -m repro.obs history                 # the metrics history
     python -m repro.obs regress                 # gate on regressions
     python -m repro.obs regress --report-only   # chart, never gate
@@ -89,8 +89,9 @@ _JSON_VIEWS = {
     "metrics": metrics_to_json,
 }
 
-#: default location of the longitudinal metrics history.
-DEFAULT_HISTORY = "BENCH_history.jsonl"
+#: default location of the longitudinal metrics history: the committed
+#: benchmark trajectory at the root of a checkout.
+DEFAULT_HISTORY = "BENCH_trajectory.jsonl"
 
 
 class _CliError(Exception):

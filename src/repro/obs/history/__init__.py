@@ -5,21 +5,17 @@ by cell hash with no time axis.  This subpackage gives every
 measurement a *history*:
 
 * :mod:`repro.obs.history.store` — an append-only, git-commit-stamped
-  JSONL history (``BENCH_history.jsonl``) with a derived SQLite index,
-  following the campaign ``ResultStore`` journal/fsync discipline.
-* :mod:`repro.obs.history.ingest` — adapters that turn campaign
-  result stores (``python -m repro.campaign export-history``) and
-  :class:`~repro.obs.registry.MetricsRegistry` snapshots into one flat
-  ``metric -> value`` vocabulary.
+  JSONL history, following the campaign ``ResultStore`` journal/fsync
+  discipline; the committed ``BENCH_trajectory.jsonl`` is one.
+* :mod:`repro.obs.history.ingest` — flattens
+  :class:`~repro.obs.registry.MetricsRegistry` snapshots into the same
+  flat ``metric -> value`` vocabulary.
 * :mod:`repro.obs.history.regress` — per-metric rolling
   median-plus-MAD baselines with direction-of-goodness, exposed as
   ``python -m repro.obs regress`` in report-only and gating modes.
 """
 
-from repro.obs.history.ingest import (
-    entry_from_campaign,
-    metrics_from_snapshot,
-)
+from repro.obs.history.ingest import metrics_from_snapshot
 from repro.obs.history.regress import (
     Finding,
     RegressPolicy,
@@ -41,7 +37,6 @@ __all__ = [
     "HISTORY_VERSION",
     "HistoryEntry",
     "HistoryStore",
-    "entry_from_campaign",
     "metrics_from_snapshot",
     "Finding",
     "RegressPolicy",

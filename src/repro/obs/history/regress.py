@@ -45,6 +45,9 @@ __all__ = [
 #: MAD -> sigma-equivalent scale for normally distributed noise.
 _MAD_SCALE = 1.4826
 
+#: unit suffixes of the last name segment that mark a time or a size,
+#: better lower (a ``_per_s`` rate is checked first: it ends in ``_s``).
+_COST_SUFFIXES = ("_s", "_ms", "_mb", "_bytes")
 #: name fragments whose presence means "lower is better".
 _LOWER_TOKENS = (
     "seconds", "elapsed", "latency", "misses", "failures", "failed",
@@ -61,11 +64,16 @@ def direction_of(name: str) -> str:
     """``"lower"``, ``"higher"``, or ``"either"`` — which way is good.
 
     Works on bare and labeled names (``cached_s{probe=...}``); the
-    label block is ignored for classification.
+    label block is ignored for classification.  The unit suffix of the
+    last dotted segment decides first (``activations_per_s`` is a rate,
+    ``step_p90_ms`` and ``peak_rss_mb`` are costs); name fragments
+    decide the rest.
     """
     base = name.split("{", 1)[0].lower()
     last = base.rsplit(".", 1)[-1]
-    if last.endswith("_s") or last == "s" or last in ("sum", "mean"):
+    if last.endswith("_per_s"):
+        return "higher"
+    if last.endswith(_COST_SUFFIXES) or last in ("s", "sum", "mean"):
         return "lower"
     for token in _HIGHER_TOKENS:
         if token in base:

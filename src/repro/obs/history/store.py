@@ -1,26 +1,21 @@
-"""The append-only metrics history store — ``BENCH_history.jsonl``.
+"""The append-only metrics history store — ``BENCH_trajectory.jsonl``.
 
-One file per machine (or per CI pipeline), one JSON object per line,
-each line a complete, self-describing :class:`HistoryEntry`: a
-monotonically increasing ``seq``, a wall-clock stamp, the git commit
-the numbers were measured at, a free-form ``meta`` block, and a flat
-``metric name -> number`` mapping.  Appends follow the campaign
-journal discipline — written, flushed, ``fsync``'d — so a crash can
-truncate at most the line being written, never corrupt earlier ones.
-
-A derived SQLite index (``BENCH_history.db`` next to the JSONL) makes
-ad-hoc queries cheap; like the campaign store's ``index.db`` it is a
-pure derivation, rebuilt on demand and safe to delete.  The JSONL file
-is the truth.
+One JSON object per line, each line a complete, self-describing
+:class:`HistoryEntry`: a monotonically increasing ``seq``, a
+wall-clock stamp, the git commit the numbers were measured at, a
+free-form ``meta`` block, and a flat ``metric name -> number``
+mapping.  Appends follow the campaign journal discipline — written,
+flushed, ``fsync``'d — so a crash can truncate at most the line being
+written, never corrupt earlier ones.  The repository's committed
+benchmark trajectory (``benchmarks/trajectory.py`` appends one line
+per change) is such a file.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import pathlib
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -40,8 +35,7 @@ class HistoryEntry:
     """One measurement epoch: who measured what, when, at which commit.
 
     ``metrics`` is deliberately flat (``name -> number``): the
-    regression detector, the differ, and the SQLite index all want a
-    single vocabulary, not nested per-probe documents.  Label-carrying
+    regression detector and the differ both want a single vocabulary, not nested per-probe documents.  Label-carrying
     names use the ``name{key=value,...}`` convention of
     :func:`~repro.obs.history.ingest.metrics_from_snapshot`.
     """
@@ -99,11 +93,10 @@ class HistoryEntry:
 
 
 class HistoryStore:
-    """The append-only history file plus its derived SQLite index."""
+    """The append-only history file."""
 
     def __init__(self, path: str) -> None:
         self.path = pathlib.Path(path)
-        self.index_path = self.path.with_suffix(".db")
 
     # ------------------------------------------------------------------
     # Reading
@@ -120,11 +113,7 @@ class HistoryStore:
                 (the store never guesses around corruption).
         """
         try:
-            if self.path.suffix == ".gz":
-                with gzip.open(self.path, "rt", encoding="utf-8") as handle:
-                    text = handle.read()
-            else:
-                text = self.path.read_text(encoding="utf-8")
+            text = self.path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return []
         out: List[HistoryEntry] = []
@@ -186,90 +175,8 @@ class HistoryStore:
         if self.path.parent and not self.path.parent.is_dir():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
-        if self.path.suffix == ".gz":
-            # Each append is its own deterministic gzip member (mtime
-            # pinned, no filename) — concatenated members read back as
-            # one stream, preserving the journal discipline.
-            with open(self.path, "ab") as raw:
-                with gzip.GzipFile(
-                    fileobj=raw, mode="ab", filename="", mtime=0
-                ) as packed:
-                    packed.write(line.encode("utf-8"))
-                raw.flush()
-                os.fsync(raw.fileno())
-        else:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
         return entry
-
-    # ------------------------------------------------------------------
-    # SQLite index (derived)
-    # ------------------------------------------------------------------
-    def build_index(self) -> pathlib.Path:
-        """(Re)build the SQLite index over the JSONL; returns its path.
-
-        Two tables: ``entries(seq, recorded_at, git_commit, source,
-        run_id, meta)`` and ``metrics(seq, name, value)`` — enough for
-        "this metric over time" and "every metric at this commit"
-        without parsing JSON in the query.
-        """
-        tmp = self.index_path.with_suffix(".db.tmp")
-        if tmp.exists():
-            tmp.unlink()
-        conn = sqlite3.connect(tmp)
-        try:
-            conn.execute(
-                """
-                CREATE TABLE entries (
-                    seq INTEGER PRIMARY KEY,
-                    recorded_at REAL,
-                    git_commit TEXT,
-                    source TEXT NOT NULL,
-                    run_id TEXT NOT NULL,
-                    meta TEXT NOT NULL
-                )
-                """
-            )
-            conn.execute(
-                """
-                CREATE TABLE metrics (
-                    seq INTEGER NOT NULL,
-                    name TEXT NOT NULL,
-                    value REAL NOT NULL,
-                    PRIMARY KEY (seq, name)
-                )
-                """
-            )
-            for entry in self.entries():
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries VALUES (?,?,?,?,?,?)",
-                    (
-                        entry.seq,
-                        entry.recorded_at,
-                        entry.git_commit,
-                        entry.source,
-                        entry.run_id,
-                        json.dumps(entry.meta, sort_keys=True),
-                    ),
-                )
-                for name, value in entry.metrics.items():
-                    conn.execute(
-                        "INSERT OR REPLACE INTO metrics VALUES (?,?,?)",
-                        (entry.seq, name, float(value)),
-                    )
-            conn.commit()
-        finally:
-            conn.close()
-        os.replace(tmp, self.index_path)
-        return self.index_path
-
-    def query_index(self, sql: str, *args: object) -> List[tuple]:
-        """Run a read-only query against a freshly built index."""
-        self.build_index()
-        conn = sqlite3.connect(self.index_path)
-        try:
-            return list(conn.execute(sql, args))
-        finally:
-            conn.close()

@@ -1,4 +1,4 @@
-"""The longitudinal history store and its ingest adapters."""
+"""The longitudinal history store and the registry-snapshot flattener."""
 
 from __future__ import annotations
 
@@ -6,13 +6,11 @@ import json
 
 import pytest
 
-from repro.campaign.__main__ import main as campaign_main
 from repro.errors import TraceFormatError
 from repro.obs.history import (
     HISTORY_SCHEMA,
     HistoryEntry,
     HistoryStore,
-    entry_from_campaign,
     metrics_from_snapshot,
 )
 from repro.obs.registry import MetricsRegistry
@@ -80,55 +78,6 @@ class TestStore:
         assert store.series("a") == [(1, 1.0), (2, 2.0)]
         assert store.metric_names() == ["a", "b"]
 
-    def test_sqlite_index_is_a_pure_derivation(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.jsonl"))
-        store.append(_entry(a=1.0))
-        store.append(_entry(a=3.0))
-        rows = store.query_index(
-            "SELECT seq, value FROM metrics WHERE name = ? ORDER BY seq", "a"
-        )
-        assert rows == [(1, 1.0), (2, 3.0)]
-        store.index_path.unlink()
-        assert store.query_index("SELECT COUNT(*) FROM entries") == [(2,)]
-
-
-class TestGzipStore:
-    """``*.jsonl.gz`` histories append and read transparently."""
-
-    def test_append_and_read_back_through_gzip(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.jsonl.gz"))
-        store.append(_entry(a=1.0))
-        store.append(_entry(a=2.0))
-        loaded = store.entries()
-        assert [e.seq for e in loaded] == [1, 2]
-        assert loaded[1].metrics == {"a": 2.0}
-
-    def test_the_file_really_is_gzip(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.jsonl.gz"))
-        store.append(_entry(a=1.0))
-        with open(store.path, "rb") as handle:
-            assert handle.read(2) == b"\x1f\x8b"
-
-    def test_cli_diff_reads_a_gzipped_history(self, tmp_path, capsys):
-        from repro.obs.__main__ import main as obs_main
-
-        store = HistoryStore(str(tmp_path / "h.jsonl.gz"))
-        store.append(_entry(a=1.0))
-        store.append(_entry(a=5.0))
-        assert obs_main(["diff", "1", "2", "--history", str(store.path)]) == 0
-        out = capsys.readouterr().out
-        assert "entry #1" in out and "entry #2" in out
-        assert "a" in out
-
-    def test_cli_regress_gates_a_gzipped_history(self, tmp_path, capsys):
-        from repro.obs.__main__ import main as obs_main
-
-        store = HistoryStore(str(tmp_path / "h.jsonl.gz"))
-        for value in (1.0, 1.0, 1.1, 1.0, 50.0):
-            store.append(_entry(elapsed_s=value))
-        assert obs_main(["regress", "--history", str(store.path)]) == 3
-        assert "elapsed_s" in capsys.readouterr().err
-
 
 class TestFlatten:
     def test_snapshot_metrics_carry_sorted_labels(self):
@@ -141,47 +90,3 @@ class TestFlatten:
         assert flat["lat.count"] == 2.0
         assert flat["lat.sum"] == 2.0
         assert flat["lat.mean"] == 1.0
-
-
-def _selftest_spec(tmp_path, behaviors):
-    doc = {
-        "name": "history-export",
-        "defaults": {"timeout_s": 10.0, "max_attempts": 1, "backoff_s": 0.05},
-        "cells": [
-            {"kind": "selftest", "params": {"behavior": b, "value": i}}
-            for i, b in enumerate(behaviors)
-        ],
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-class TestCampaignExport:
-    def test_export_history_appends_store_aggregates(self, tmp_path, capsys):
-        spec = _selftest_spec(tmp_path, ["ok", "ok"])
-        store = str(tmp_path / "store")
-        assert campaign_main(["run", "--spec", spec, "--store", store]) == 0
-        history = str(tmp_path / "h.jsonl")
-        assert campaign_main(
-            ["export-history", store, "--history", history]
-        ) == 0
-        assert "entry #1" in capsys.readouterr().out
-        entries = HistoryStore(history).entries()
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry.source == "campaign"
-        assert entry.run_id == "history-export"
-        assert entry.metrics["cells_total"] == 2.0
-        assert entry.metrics["cells_ok"] == 2.0
-        assert entry.metrics["cells_failed"] == 0.0
-        cell_series = [m for m in entry.metrics if m.startswith("cell.")]
-        assert len(cell_series) == 2
-        assert all(name.endswith(".elapsed_s") for name in cell_series)
-
-    def test_entry_from_campaign_on_a_missing_store_errors(self, tmp_path):
-        from repro.campaign.store import ResultStore
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError):
-            entry_from_campaign(ResultStore(str(tmp_path / "nope")))
