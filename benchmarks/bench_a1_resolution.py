@@ -18,10 +18,10 @@ from __future__ import annotations
 from repro.apps.harness import SwarmHarness, ring_positions
 from repro.discrete.lattice import SquareLattice
 from repro.discrete.lattice_protocol import LatticeLogKProtocol
-from repro.discrete.simulator import LatticeSimulator
 from repro.errors import ProtocolError
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.protocols.sync_logk import SyncLogKProtocol
 
@@ -83,7 +83,7 @@ def try_lattice(n: int) -> str:
         )
         for i, p in enumerate(positions)
     ]
-    sim = LatticeSimulator(robots, lattice)
+    sim = Simulator(robots, world=lattice)
     robots[0].protocol.send_bits(n - 1, [1, 0])
     for _ in range(200):
         sim.step()

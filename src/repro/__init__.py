@@ -126,7 +126,6 @@ from repro.visibility import (
 from repro.discrete import (
     HexLattice,
     LatticeLogKProtocol,
-    LatticeSimulator,
     SquareLattice,
 )
 from repro.stabilization import EpochGranularProtocol
@@ -225,7 +224,6 @@ __all__ = [
     # discrete worlds (Section 5 extension)
     "SquareLattice",
     "HexLattice",
-    "LatticeSimulator",
     "LatticeLogKProtocol",
     # stabilization (Section 5 extension)
     "EpochGranularProtocol",

@@ -14,8 +14,9 @@ This subpackage realises that world:
 * :class:`~repro.discrete.lattice.SquareLattice` /
   :class:`~repro.discrete.lattice.HexLattice` — the grid and the
   hexagonal pavement, with their 8 / 6 realisable movement directions;
-* :class:`~repro.discrete.simulator.LatticeSimulator` — the SSM engine
-  with destinations snapped onto the lattice;
+* ``Simulator(robots, world=lattice)`` (and the same keyword on
+  :class:`~repro.events.engine.EventSimulator`) — either engine with
+  lattice starts enforced and destinations snapped onto the lattice;
 * :class:`~repro.discrete.lattice_protocol.LatticeLogKProtocol` — the
   Section 5 few-slice protocol with its diameters aligned on lattice
   directions and excursion lengths that land exactly on lattice
@@ -27,13 +28,11 @@ This subpackage realises that world:
 """
 
 from repro.discrete.lattice import HexLattice, Lattice, SquareLattice
-from repro.discrete.simulator import LatticeSimulator
 from repro.discrete.lattice_protocol import LatticeLogKProtocol
 
 __all__ = [
     "Lattice",
     "SquareLattice",
     "HexLattice",
-    "LatticeSimulator",
     "LatticeLogKProtocol",
 ]

@@ -29,9 +29,9 @@ Two operating modes, selected by the
   against the round engine run unchanged.
 
 The engine subclasses the round simulator, so the whole extension
-surface (``_constrain_destination``, step listeners, phase hooks,
-``displace`` fault injection, observation caching, ``look=`` policies
-and ``visibility_radius``) is inherited; only the activation machinery
+surface (step listeners, phase hooks, ``displace`` fault injection,
+observation caching, ``look=`` policies, ``visibility_radius`` and the
+``world=`` lattice snap) is inherited; only the activation machinery
 and the delay-model branch of the Look configuration source
 (:meth:`EventSimulator._config_for_observation`) are overridden.
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Sequence as SequenceABC
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EventError, SchedulerError
 from repro.events.delay import DelayModel, ZeroDelay
@@ -61,6 +61,9 @@ from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler
 from repro.model.simulator import Simulator
 from repro.model.trace import TracePolicy, TraceStep
+
+if TYPE_CHECKING:
+    from repro.discrete.lattice import Lattice
 
 __all__ = ["EventSimulator", "PHASES"]
 
@@ -129,10 +132,10 @@ class EventSimulator(Simulator):
             ``(time, phase, robot)`` tuples (determinism tests).
         lazy_views: bind protocols with on-demand initial-position
             views (huge swarms; see the module docstring).
-        caching / trace_policy / look / visibility_radius: forwarded to
-            the base engine.  A ``look`` policy cannot be combined with
-            a nonzero ``delay`` model: both would decide what a Look
-            returns.
+        caching / trace_policy / look / visibility_radius / world:
+            forwarded to the base engine.  A ``look`` policy cannot be
+            combined with a nonzero ``delay`` model: both would decide
+            what a Look returns.
     """
 
     _config_error = EventError
@@ -152,6 +155,7 @@ class EventSimulator(Simulator):
         trace_policy: Optional[TracePolicy] = None,
         look: Optional[LookPolicy] = None,
         visibility_radius: Optional[float] = None,
+        world: Optional[Lattice] = None,
     ) -> None:
         timing = timing if timing is not None else TimingModel.round_emulation()
         if not isinstance(timing, TimingModel):
@@ -182,6 +186,7 @@ class EventSimulator(Simulator):
             trace_policy=trace_policy,
             look=look,
             visibility_radius=visibility_radius,
+            world=world,
         )
 
         n = self.count
@@ -329,7 +334,8 @@ class EventSimulator(Simulator):
         basis, scale, anchor = self._local_transforms[robot]
         world_target = basis_to_world(basis, scale, local_target, anchor)
         clamped = self._positions[robot].clamped_toward(world_target, spec.sigma)
-        self._pending_target[robot] = self._constrain_destination(robot, clamped)
+        world = self._world
+        self._pending_target[robot] = clamped if world is None else world.snap(clamped)
         self._push(time + self._sample_phase("compute", _COMPUTE, robot), _MOVE, robot)
 
     def _apply_moves(

@@ -39,7 +39,7 @@ and observable through :attr:`Simulator.stats`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, SchedulerError
 from repro.geometry.frames import Basis, basis_to_local, basis_to_world, frame_bases
@@ -53,6 +53,9 @@ from repro.model.trace import Trace, TracePolicy, TraceStep
 from repro.perf.cache import CachedGeometry
 from repro.perf.counters import PerfStats
 from repro.perf.spatial import SpatialHashGrid
+
+if TYPE_CHECKING:  # repro.discrete imports the protocols, which import repro.model
+    from repro.discrete.lattice import Lattice
 
 __all__ = ["Simulator"]
 
@@ -100,6 +103,15 @@ class Simulator:
             knowledge are restricted to robots within this distance of
             the observer.  None (default) is the paper's model, where
             every robot sees every robot.
+        world: optional :class:`~repro.discrete.lattice.Lattice` — the
+            Section 5 discrete world (a grid or a hexagonal pavement).
+            Initial positions must be lattice points, and every
+            destination is snapped to the nearest lattice point after
+            the ``sigma`` clamp, so a snapped destination can exceed
+            ``sigma`` by at most half a lattice cell (the lattice
+            protocols request exact lattice points within ``sigma``
+            and never hit that slack).  None (default) is the
+            continuous plane.
 
     The constructor *binds* every protocol: each robot learns its
     tracking index, the swarm size, its movement bound in local units,
@@ -120,6 +132,7 @@ class Simulator:
         trace_policy: Optional[TracePolicy] = None,
         look: Optional[LookPolicy] = None,
         visibility_radius: Optional[float] = None,
+        world: Optional[Lattice] = None,
     ) -> None:
         if visibility_radius is not None and visibility_radius <= 0.0:
             raise self._config_error(
@@ -139,6 +152,12 @@ class Simulator:
                     f"robots {j} and {i} share the initial position {p!r}"
                 )
             seen[p] = i
+        if world is not None:
+            for i, p in enumerate(positions):
+                if not world.is_lattice_point(p):
+                    raise ModelError(
+                        f"robot {i} starts at {p!r}, which is not a lattice point"
+                    )
         ids = [r.observable_id for r in robots]
         self._identified = all(v is not None for v in ids)
         if not self._identified and any(v is not None for v in ids):
@@ -161,6 +180,7 @@ class Simulator:
         self._look = look
         if look is not None:
             look.bind(self)
+        self._world = world
 
         # --- hot-path state -------------------------------------------
         self._caching = bool(caching)
@@ -393,6 +413,7 @@ class Simulator:
         """Advance one instant: activate, observe, compute, move."""
         hook = self._phase_hook
         rhook = self._robot_phase_hook
+        world = self._world
         now = self._time
         if hook is not None:
             hook("schedule", now)
@@ -421,7 +442,7 @@ class Simulator:
             basis, scale, anchor = self._local_transforms[index]
             world_target = basis_to_world(basis, scale, local_target, anchor)
             clamped = self._positions[index].clamped_toward(world_target, robot.sigma)
-            new_positions[index] = self._constrain_destination(index, clamped)
+            new_positions[index] = clamped if world is None else world.snap(clamped)
 
         # ...and move simultaneously.  The epoch only advances when a
         # position actually changed; per-robot position epochs let
@@ -514,15 +535,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals / extension hooks
     # ------------------------------------------------------------------
-    def _constrain_destination(self, index: int, destination: Vec2) -> Vec2:
-        """Environment-level movement constraint hook.
-
-        The base model is the continuous plane (identity).  The
-        Section 5 discrete worlds (:mod:`repro.discrete`) override this
-        to snap destinations onto a lattice.
-        """
-        return destination
-
     def _initial_local_view(
         self,
         index: int,

@@ -27,7 +27,7 @@ import gzip
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.errors import TraceFormatError
 from repro.obs.events import Event
@@ -191,10 +191,3 @@ def load_run(path: str) -> ObsRun:
     gzipped, decided by the ``.gz`` suffix)."""
     with _open_text(path, "r") as handle:
         return run_from_jsonl(handle.read())
-
-
-def build_report(run: ObsRun, width: Optional[int] = None) -> str:
-    """The full ASCII run report (all CLI views concatenated)."""
-    from repro.obs.report import render_report
-
-    return render_report(run, width=width)

@@ -49,13 +49,18 @@ __all__ = [
 #: the implicit acknowledgement of Lemma 4.1, with the reason strict
 #: ack ordering is not checked for them: the addressee commits a bit
 #: only once the whole unit lands, so the ack event (sender advanced)
-#: legitimately precedes the receipt event (decode committed).
+#: legitimately precedes the receipt event (decode committed).  The
+#: lattice protocols are :class:`~repro.protocols.sync_logk.SyncLogKProtocol`
+#: subclasses and share its rhythm.
+_LOGK_RHYTHM = (
+    "the Section 3.3 sender starts the next address/digit block on "
+    "the synchronous rhythm; the addressee commits the bit only at "
+    "block end, so acks are not receipt-gated"
+)
 RHYTHM_ADVANCING: Dict[str, str] = {
-    "sync_logk": (
-        "the Section 3.3 sender starts the next address/digit block on "
-        "the synchronous rhythm; the addressee commits the bit only at "
-        "block end, so acks are not receipt-gated"
-    ),
+    "sync_logk": _LOGK_RHYTHM,
+    "lattice_square": _LOGK_RHYTHM,
+    "lattice_hex": _LOGK_RHYTHM,
 }
 
 #: tolerance for the critical-path telescoping identity (floats on the

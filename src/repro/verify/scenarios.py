@@ -1,6 +1,6 @@
 """The verification matrix: protocol x adversary cells.
 
-A *cell* pairs one of the six protocols with one adversarial schedule
+A *cell* pairs one of the eight protocols with one adversarial schedule
 and declares which invariants the paper's claims entitle us to check
 there.  Cells outside a protocol's stated envelope are **skipped with
 a reason** rather than silently dropped — the CLI prints the reason,
@@ -21,6 +21,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.discrete.lattice import HexLattice, Lattice, SquareLattice
+from repro.discrete.lattice_protocol import LatticeLogKProtocol
 from repro.errors import ModelError
 from repro.faults.transient import TransientDisplacementFault
 from repro.geometry.frames import make_frames
@@ -70,7 +72,10 @@ __all__ = [
     "matrix_skips",
 ]
 
-#: Protocol keys, in the paper's order of presentation.
+#: Protocol keys, in the paper's order of presentation.  The
+#: ``lattice_*`` keys are the Section 5 discrete worlds: the log_k
+#: protocol on a square grid and on a hexagonal pavement, run with the
+#: engine's ``world=`` lattice snap.
 PROTOCOLS: Tuple[str, ...] = (
     "sync_two",
     "sync_granular",
@@ -78,6 +83,8 @@ PROTOCOLS: Tuple[str, ...] = (
     "async_two",
     "async_n",
     "flocking",
+    "lattice_square",
+    "lattice_hex",
 )
 
 #: Adversary keys: the scheduler zoo plus the non-scheduler adversaries.
@@ -187,6 +194,11 @@ CELLS: Dict[Tuple[str, str], Cell] = {
         _cell("flocking", "synchronous", (_C, _R, _F, _T2, _SC), 150, 80),
         _cell("flocking", "crash", (_C, _R, _F, _SC), 250, 120),
         _cell("flocking", "displacement", (_C, _F, _SC), 300, 150),
+        # -- Section 5 discrete worlds: log_k on a grid / a pavement ----
+        _cell("lattice_square", "synchronous", (_C, _S, _R, _F, _SC), 160, 80),
+        _cell("lattice_square", "crash", (_C, _S, _R, _F, _SC), 160, 80),
+        _cell("lattice_hex", "synchronous", (_C, _S, _R, _F, _SC), 160, 80),
+        _cell("lattice_hex", "crash", (_C, _S, _R, _F, _SC), 160, 80),
     )
 }
 
@@ -275,6 +287,13 @@ SKIPS: Dict[Tuple[str, str], str] = {
         "common drift schedule at every instant (full synchrony)"
     ),
 }
+# The lattice protocols are SyncLogKProtocol subclasses: same envelope.
+SKIPS.update({
+    (lattice, s): reason
+    for (p, s), reason in SKIPS.items()
+    if p == "sync_logk"
+    for lattice in ("lattice_square", "lattice_hex")
+})
 
 # Sanity: the matrix plus the skip list must tile the full grid.
 assert not (set(CELLS) & set(SKIPS)), "a cell cannot both run and be skipped"
@@ -316,15 +335,6 @@ class ScenarioRun:
             if got < len(bits):
                 return False
         return True
-
-    def descriptor(self) -> Dict[str, object]:
-        """Reproduction coordinates for reports and the seed corpus."""
-        return {
-            "protocol": self.cell.protocol,
-            "scheduler": self.cell.scheduler,
-            "seed": self.seed,
-            "size": self.size,
-        }
 
 
 def cells_for(
@@ -403,6 +413,7 @@ class _Blueprint:
     sigma: float
     flows: List[Tuple[int, int]]
     payload: List[int]
+    world: Optional[Lattice] = None
 
 
 def _payload(rng: random.Random, sync: bool, quick: bool) -> List[int]:
@@ -416,6 +427,13 @@ def _pick_flow(rng: random.Random, count: int) -> Tuple[int, int]:
     if dst >= src:
         dst += 1
     return src, dst
+
+
+#: The discrete-world protocol keys: their lattice and digit base.
+_LATTICE_PROTOCOLS: Dict[str, Tuple[Lattice, int]] = {
+    "lattice_square": (SquareLattice(), 3),
+    "lattice_hex": (HexLattice(), 2),
+}
 
 
 def _blueprint(cell: Cell, rng: random.Random, quick: bool,
@@ -451,6 +469,16 @@ def _blueprint(cell: Cell, rng: random.Random, quick: bool,
         factory = lambda: SyncLogKProtocol(k=2, naming="identified")
         return _Blueprint(positions, factory, True, "sense_of_direction",
                           12.0, [_pick_flow(rng, size)], _payload(rng, True, quick))
+
+    if p in _LATTICE_PROTOCOLS:
+        lattice, k = _LATTICE_PROTOCOLS[p]
+        size = size_override or (4 if quick else rng.randint(4, 6))
+        positions = [lattice.snap(q) for q in _scatter(rng, size)]
+        factory = lambda: LatticeLogKProtocol(k=k, lattice=lattice)
+        # Identity frames: the lattice is a shared world structure.
+        return _Blueprint(positions, factory, True, "identical",
+                          12.0, [_pick_flow(rng, size)], _payload(rng, True, quick),
+                          world=lattice)
 
     if p == "async_n":
         size = size_override or (4 if quick else rng.randint(4, 5))
@@ -651,6 +679,7 @@ def build_run(
             seed=seed * 9_176 + 5,
             caching=caching,
             look=look,
+            world=bp.world,
         )
     elif backend == "batch":
         from repro.batch.engine import BatchSimulator
@@ -662,7 +691,7 @@ def build_run(
             )
         sim = BatchSimulator(robots, scheduler, caching=caching)
     elif backend == "scalar":
-        sim = Simulator(robots, scheduler, caching=caching, look=look)
+        sim = Simulator(robots, scheduler, caching=caching, look=look, world=bp.world)
     else:
         raise ModelError(f"unknown backend {backend!r} (choose scalar or batch)")
 

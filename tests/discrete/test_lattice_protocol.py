@@ -8,14 +8,20 @@ import pytest
 
 from repro.discrete.lattice import HexLattice, SquareLattice
 from repro.discrete.lattice_protocol import LatticeLogKProtocol
-from repro.discrete.simulator import LatticeSimulator
 from repro.errors import ModelError, ProtocolError
+from repro.events.engine import EventSimulator
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 
-def square_swarm(count: int = 6, k: int = 3, spacing: float = 12.0):
+ENGINES = pytest.mark.parametrize(
+    "engine", [Simulator, EventSimulator], ids=lambda engine: engine.__name__
+)
+
+
+def square_swarm(count: int = 6, k: int = 3, spacing: float = 12.0, engine=Simulator):
     lattice = SquareLattice(pitch=1.0)
     positions = [
         Vec2(spacing * (i % 3), spacing * (i // 3)) for i in range(count)
@@ -29,24 +35,25 @@ def square_swarm(count: int = 6, k: int = 3, spacing: float = 12.0):
         )
         for i, p in enumerate(positions)
     ]
-    return LatticeSimulator(robots, lattice), robots
+    return engine(robots, world=lattice), robots, lattice
 
 
-class TestLatticeSimulator:
-    def test_requires_lattice_starts(self):
+class TestLatticeWorld:
+    @ENGINES
+    def test_requires_lattice_starts(self, engine):
         lattice = SquareLattice(pitch=1.0)
         robots = [
             Robot(position=Vec2(0.5, 0.0), protocol=SyncGranularProtocol(), observable_id=0),
             Robot(position=Vec2(5.0, 0.0), protocol=SyncGranularProtocol(), observable_id=1),
         ]
-        with pytest.raises(ModelError):
-            LatticeSimulator(robots, lattice)
+        with pytest.raises(ModelError, match="robot 0 starts at .* not a lattice point"):
+            engine(robots, world=lattice)
 
-    def test_destinations_snapped(self):
-        sim, robots = square_swarm()
+    @ENGINES
+    def test_destinations_snapped(self, engine):
+        sim, robots, lattice = square_swarm(engine=engine)
         robots[0].protocol.send_bits(4, [1, 0])
         sim.run(10)
-        lattice = sim.lattice
         for t in range(len(sim.trace) + 1):
             for p in sim.trace.positions_at(t):
                 assert lattice.is_lattice_point(p)
@@ -64,13 +71,13 @@ class TestLatticeLogKProtocol:
             LatticeLogKProtocol(k=2, lattice=SquareLattice(), naming="sec")
 
     def test_square_delivery(self):
-        sim, robots = square_swarm(count=6, k=3)
+        sim, robots, _ = square_swarm(count=6, k=3)
         robots[0].protocol.send_bits(4, [1, 0, 1])
         sim.run(40)
         assert [e.bit for e in robots[4].protocol.received] == [1, 0, 1]
 
     def test_square_delivery_base_2(self):
-        sim, robots = square_swarm(count=6, k=2)
+        sim, robots, _ = square_swarm(count=6, k=2)
         robots[5].protocol.send_bits(1, [0, 0, 1])
         sim.run(60)
         assert [e.bit for e in robots[1].protocol.received] == [0, 0, 1]
@@ -93,7 +100,7 @@ class TestLatticeLogKProtocol:
             )
             for i, p in enumerate(positions)
         ]
-        sim = LatticeSimulator(robots, lattice)
+        sim = Simulator(robots, world=lattice)
         robots[1].protocol.send_bits(2, [0, 1])
         sim.run(40)
         assert [e.bit for e in robots[2].protocol.received] == [0, 1]
@@ -112,10 +119,10 @@ class TestLatticeLogKProtocol:
             for i, p in enumerate(positions)
         ]
         with pytest.raises(ProtocolError):
-            LatticeSimulator(robots, lattice)
+            Simulator(robots, world=lattice)
 
     def test_all_pairs_chatter_on_lattice(self):
-        sim, robots = square_swarm(count=6, k=3)
+        sim, robots, _ = square_swarm(count=6, k=3)
         for i in range(6):
             for j in range(6):
                 if i != j:

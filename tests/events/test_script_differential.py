@@ -52,7 +52,9 @@ CORPUS_KEY = "event_script_corpus"
 #: Protocols whose correctness argument assumes every robot is
 #: activated every instant — their scripts are full-activation; the
 #: async protocols get seeded *partial* activation sets instead.
-FULL_ACTIVATION = frozenset({"sync_two", "sync_granular", "sync_logk", "flocking"})
+FULL_ACTIVATION = frozenset(
+    {"sync_two", "sync_granular", "sync_logk", "flocking", "lattice_square", "lattice_hex"}
+)
 
 
 def _corpus():

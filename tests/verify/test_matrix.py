@@ -85,7 +85,7 @@ class TestCorpusReplay:
 
 @pytest.mark.slow
 class TestWideFan:
-    """The full adversarial sweep: 6 protocols x schedulers x 20+ seeds."""
+    """The full adversarial sweep: every protocol x scheduler x 20+ seeds."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_protocol_clean_under_all_adversaries(self, protocol):
